@@ -129,8 +129,10 @@ def _solve_gauss_seidel(weights, known, values, config):
         for mask in (red, black):
             s = _neighbor_sum(weights, f)
             f[mask] = s[mask]
-        r = f - _neighbor_sum(weights, f)
-        residual = np.linalg.norm(r[unknown]) / bnorm
+        ru = (f - _neighbor_sum(weights, f))[unknown]
+        # an elementwise sum, not np.linalg.norm: that is a BLAS call, and
+        # each one wakes a multi-threaded BLAS whose idle threads then spin
+        residual = np.sqrt((ru * ru).sum()) / bnorm
         if residual <= config.tolerance:
             return f, True, it, residual
     return f, False, config.max_iterations, residual

@@ -12,6 +12,7 @@ normalized reciprocal depth in (0, 1).
 from __future__ import annotations
 
 import ast
+import math
 import struct
 from dataclasses import dataclass, asdict
 from enum import Enum
@@ -188,7 +189,8 @@ class Model:
         return self.forward(self.fuse_input(rgb, sparse))
 
     def predict_depth(self, rgb: np.ndarray, sparse: np.ndarray | None) -> np.ndarray:
-        """Metric depth map(s) in meters, clamped to [d_min, d_max].
+        """Metric depth map(s) in meters, clamped to [d_min, d_max]; builds
+        no autograd graph.
 
         ``rgb``: (N,3,H,W) or (H,W,3); ``sparse``: (N,1,H,W) or (H,W) in
         meters with 0 = no measurement (encoded internally).
@@ -207,7 +209,8 @@ class Model:
             if sparse_n is None:
                 raise ValueError("this model requires a sparse input")
             sparse_t = Tensor(encode_sparse(sparse_n, codec).astype(self.dtype))
-        pred = self.predict(rgb_t, sparse_t).data
+        with T.no_grad():
+            pred = self.predict(rgb_t, sparse_t).data
         depth = codec.decode(pred.astype(np.float64))
         return depth[0, 0] if single else depth[:, 0]
 
@@ -264,48 +267,91 @@ def save_checkpoint(path, model: Model, extra: dict | None = None,
 
 
 def load_checkpoint(path):
-    """Returns (model, extra state dict, optimizer moment arrays)."""
+    """Returns (model, extra state dict, optimizer moment arrays).
+
+    Every malformation is a ValueError naming the tensor where there is
+    one: a bad header, a truncated file, trailing bytes, a tensor count
+    other than the header's, a name that is neither a weight of the
+    configured model nor an Adam moment (``adam.m.*``, ``adam.v.*``) of
+    one, a shape other than the config's, and a missing weight.
+    """
     with open(path, "rb") as f:
         blob = f.read()
-    pos = blob.index(b"\n") + 1
-    if blob[:pos - 1].decode("utf-8") != CHECKPOINT_MAGIC:
+    pos = 0
+
+    def take(nbytes, what):
+        nonlocal pos
+        if pos + nbytes > len(blob):
+            raise ValueError(f"{path}: file is truncated in {what}")
+        pos += nbytes
+        return blob[pos - nbytes:pos]
+
+    def header_line():
+        nonlocal pos
+        end = blob.find(b"\n", pos)
+        if end < 0:
+            raise ValueError(f"{path}: file is truncated in the header")
+        line = blob[pos:end].decode("utf-8", errors="replace")
+        pos = end + 1
+        return line
+
+    if header_line() != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: not a depthfusion checkpoint")
     cfg_kv = {}
     extra = {}
     n_tensors = None
     while n_tensors is None:
-        end = blob.index(b"\n", pos)
-        line = blob[pos:end].decode("utf-8")
-        pos = end + 1
-        key, value = line.split("=", 1)
-        if key == "tensors":
-            n_tensors = int(value)
-        elif key.startswith("config."):
-            cfg_kv[key[len("config."):]] = ast.literal_eval(value)
-        elif key.startswith("state."):
-            extra[key[len("state."):]] = ast.literal_eval(value)
-        else:
-            raise ValueError(f"{path}: unexpected header line {line!r}")
-    config = ModelConfig(**cfg_kv)
+        line = header_line()
+        key, _, value = line.partition("=")
+        try:
+            if key == "tensors":
+                n_tensors = int(value)
+            elif key.startswith("config."):
+                cfg_kv[key[len("config."):]] = ast.literal_eval(value)
+            elif key.startswith("state."):
+                extra[key[len("state."):]] = ast.literal_eval(value)
+            else:
+                raise ValueError("unknown key")
+        except (ValueError, SyntaxError):
+            raise ValueError(f"{path}: bad header line {line!r}") from None
+    try:
+        config = ModelConfig(**cfg_kv)
+    except TypeError as exc:
+        raise ValueError(f"{path}: bad config: {exc}") from None
     named = {}
-    for _ in range(n_tensors):
-        (nlen,) = struct.unpack_from("<I", blob, pos)
-        pos += 4
-        name = blob[pos:pos + nlen].decode("utf-8")
-        pos += nlen
-        (rank,) = struct.unpack_from("<I", blob, pos)
-        pos += 4
-        shape = struct.unpack_from(f"<{rank}I", blob, pos)
-        pos += 4 * rank
-        count = int(np.prod(shape)) if rank else 1
-        arr = np.frombuffer(blob, dtype="<f4", count=count, offset=pos)
-        pos += 4 * count
-        named[name] = arr.reshape(shape).copy()
+    for k in range(n_tensors):
+        if pos == len(blob):
+            raise ValueError(f"{path}: the header declares {n_tensors} tensors, "
+                             f"the file holds {k}")
+        where = f"tensor {k + 1} of {n_tensors}"
+        (nlen,) = struct.unpack("<I", take(4, where))
+        name = take(nlen, where).decode("utf-8", errors="replace")
+        where = f"tensor {name!r}"
+        (rank,) = struct.unpack("<I", take(4, where))
+        shape = struct.unpack(f"<{rank}I", take(4 * rank, where))
+        data = take(4 * math.prod(shape), where)
+        if name in named:
+            raise ValueError(f"{path}: tensor {name!r} appears twice")
+        named[name] = np.frombuffer(data, dtype="<f4").reshape(shape).copy()
+    if pos != len(blob):
+        raise ValueError(f"{path}: {len(blob) - pos} trailing bytes after the "
+                         f"{n_tensors} tensors the header declares")
     model = Model(config)
     moments = {}
     for name, arr in named.items():
-        if name in model.params:
-            model.params[name].data = arr.astype(model.dtype)
-        else:
+        is_moment = name.startswith(("adam.m.", "adam.v."))
+        weight = name[len("adam.m."):] if is_moment else name
+        if weight not in model.params:
+            raise ValueError(f"{path}: tensor {name!r} is neither a weight of the "
+                             "configured model nor an Adam moment of one")
+        if arr.shape != model.params[weight].shape:
+            raise ValueError(f"{path}: tensor {name!r} has shape {arr.shape}, the "
+                             f"config gives {model.params[weight].shape}")
+        if is_moment:
             moments[name] = arr
+        else:
+            model.params[name].data = arr.astype(model.dtype)
+    missing = [name for name in model.params if name not in named]
+    if missing:
+        raise ValueError(f"{path}: weight {missing[0]!r} is missing")
     return model, extra, moments

@@ -9,6 +9,8 @@ in float32; float64 exists for finite-difference gradient checks.
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 
 __all__ = [
@@ -24,6 +26,7 @@ __all__ = [
     "leaky_relu",
     "maxpool2x",
     "mean_all",
+    "no_grad",
     "sigmoid",
     "sum_all",
     "tslice",
@@ -128,8 +131,23 @@ def _wrap(value, dtype):
     return Tensor(np.asarray(value, dtype=dtype))
 
 
+_grad_enabled = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Ops inside record no graph: their outputs get no parents and no
+    backward closure, so a forward-only pass frees each buffer once used."""
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
+
 def _make(data, parents, backward_fn, op):
-    req = any(p.requires_grad for p in parents)
+    req = _grad_enabled and any(p.requires_grad for p in parents)
     return Tensor(data, requires_grad=req,
                   _parents=tuple(parents) if req else (),
                   _backward_fn=backward_fn if req else None, _op=op)
@@ -341,38 +359,30 @@ def concat_channels(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def _im2col(x: np.ndarray, kh, kw, stride, pad):
-    n, c, h, w = x.shape
-    ho = (h + 2 * pad - kh) // stride + 1
-    wo = (w + 2 * pad - kw) // stride + 1
-    if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    cols = np.empty((n, c, kh, kw, ho, wo), dtype=x.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j] = x[:, :, i:i + stride * ho:stride,
-                                 j:j + stride * wo:stride]
-    return cols.reshape(n, c * kh * kw, ho * wo), ho, wo
-
-
-def _col2im(gcols: np.ndarray, x_shape, kh, kw, stride, pad):
-    n, c, h, w = x_shape
-    ho = (h + 2 * pad - kh) // stride + 1
-    wo = (w + 2 * pad - kw) // stride + 1
-    gcols = gcols.reshape(n, c, kh, kw, ho, wo)
-    gx = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=gcols.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            gx[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += \
-                gcols[:, :, i, j]
-    if pad:
-        gx = gx[:, :, pad:-pad, pad:-pad]
-    return gx
+def _shifted_stack(mats, taps, width: int) -> np.ndarray:
+    """Column windows mats[block][:, o:o + width] per (block, o) tap, stacked
+    by rows into one GEMM operand."""
+    rows = mats.shape[1]
+    stack = np.empty((len(taps) * rows, width), dtype=mats.dtype)
+    for t, (blk, o) in enumerate(taps):
+        stack[t * rows:(t + 1) * rows] = mats[blk, :, o:o + width]
+    return stack
 
 
 def conv2d(x: Tensor, kernel: Tensor, bias: Tensor,
            stride: int = 1, padding: int = 0) -> Tensor:
-    """2-D cross-correlation with zero padding (no kernel flip)."""
+    """2-D cross-correlation with zero padding (no kernel flip).
+
+    Implicit GEMM (the accumulating "kn2row" form of Anderson et al.,
+    "Low-memory GEMM-based convolution algorithms for deep neural
+    networks", 2017). The input is padded once into a (channels, N*Hp*Wp)
+    matrix, the batch folded into the pixel axis, so kernel tap (i, j)
+    multiplies the view starting at column i*Wp + j; outputs are computed
+    on the padded grid and cropped. For stride s the padded image is first
+    split into s x s phase images (space-to-depth): tap (i, j) then reads
+    phase (i % s, j % s) at offset (i//s, j//s). The backward pass keeps
+    only the padded input.
+    """
     if len(x.shape) != 4 or len(kernel.shape) != 4:
         raise ShapeError(
             f"conv2d: expected 4-D input and kernel, got {x.shape} and {kernel.shape}")
@@ -390,23 +400,90 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor,
         raise ShapeError(
             f"conv2d: kernel {kernel.shape} larger than padded input {x.shape}")
 
-    cols, ho, wo = _im2col(x.data, kh, kw, stride, padding)
-    k2 = kernel.data.reshape(cout, cin * kh * kw)
-    y = np.matmul(k2, cols)  # (n, cout, ho*wo)
-    y += bias.data.reshape(1, cout, 1)
-    out = _make(y.reshape(n, cout, ho, wo), (x, kernel, bias), None, "conv2d")
+    s, p, dt = stride, padding, x.dtype
+    ho = (h + 2 * p - kh) // s + 1
+    wo = (w + 2 * p - kw) // s + 1
+    hs, ws = -(-(h + 2 * p) // s), -(-(w + 2 * p) // s)  # phase image extents
+    m = n * hs * ws
+    # xf[a*s + b] is the (cin, m) matrix of phase (a, b); a view when s == 1
+    xp = np.zeros((cin, n, hs * s, ws * s), dtype=dt)
+    xp[:, :, p:p + h, p:p + w] = x.data.transpose(1, 0, 2, 3)
+    xf = xp.reshape(cin, n, hs, s, ws, s).transpose(3, 5, 0, 1, 2, 4)
+    xf = xf.reshape(s * s, cin, m)
+    # tap (i, j) reads phase a*s + b = (i % s)*s + j % s at column offset
+    # (i // s)*ws + j // s; taps[t0:t1] are the taps of each phase
+    taps, phases, ki, kj = [], [], [], []
+    for a in range(min(s, kh)):
+        for b in range(min(s, kw)):
+            t0 = len(taps)
+            for i in range(a, kh, s):
+                for j in range(b, kw, s):
+                    taps.append((a * s + b, (i // s) * ws + j // s))
+                    ki.append(i)
+                    kj.append(j)
+            phases.append((a * s + b, t0, len(taps)))
+    kt = kernel.data[:, :, ki, kj].transpose(2, 0, 1).copy()  # (taps, cout, cin)
+    d = max(o for _, o in taps)
+    cols = m - d  # output pixels sit in the first `cols` grid columns
+
+    # The side with fewer rows per tap is stacked into one GEMM operand:
+    # the input when it has fewer channels than the output, else the
+    # output gradient in the input gradient. The other side runs one GEMM
+    # per tap on shifted views, which BLAS reads in place.
+    stacked = cin < cout and len(taps) > 1
+    y = np.empty((cout, m), dtype=dt)  # columns from `cols` on are never read
+    acc = y[:, :cols]
+    if stacked:
+        np.matmul(kt.transpose(1, 0, 2).reshape(cout, -1),
+                  _shifted_stack(xf, taps, cols), out=acc)
+    else:
+        tmp = np.empty_like(acc)
+        for t, (blk, o) in enumerate(taps):
+            np.matmul(kt[t], xf[blk, :, o:o + cols], out=tmp if t else acc)
+            if t:
+                acc += tmp
+    data = np.empty((n, cout, ho, wo), dtype=dt)
+    np.add(y.reshape(cout, n, hs, ws)[:, :, :ho, :wo].transpose(1, 0, 2, 3),
+           bias.data.reshape(1, cout, 1, 1), out=data)
+    out = _make(data, (x, kernel, bias), None, "conv2d")
 
     def bw():
-        g = out.grad.reshape(n, cout, ho * wo)
-        if kernel.requires_grad:
-            # batched GEMM beats einsum here: sum_n g[n] @ cols[n].T
-            gk = np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0)
-            _accumulate(kernel, gk.reshape(kernel.shape))
+        g = out.grad
         if bias.requires_grad:
-            _accumulate(bias, g.sum(axis=(0, 2)))
-        if x.requires_grad:
-            gcols = np.matmul(k2.T, g)
-            _accumulate(x, _col2im(gcols, x.shape, kh, kw, stride, padding))
+            _accumulate(bias, g.sum(axis=(0, 2, 3)))
+        # the output gradient on the padded grid, behind d zero columns
+        gz = np.zeros((1, cout, d + m), dtype=dt)
+        gz[0, :, d:].reshape(cout, n, hs, ws)[:, :, :ho, :wo] = g.transpose(1, 0, 2, 3)
+        gy = gz[0, :, d:d + cols]
+        gk = np.empty_like(kt) if kernel.requires_grad else None
+        gx = np.zeros_like(xf) if x.requires_grad else None
+        if stacked:
+            if gk is not None:
+                gk[:] = (gy @ _shifted_stack(xf, taps, cols).T).reshape(
+                    cout, len(taps), cin).transpose(1, 0, 2)
+            if gx is not None:
+                tmp = np.empty((cin, cols), dtype=dt)
+                for t, (blk, o) in enumerate(taps):
+                    gx[blk, :, o:o + cols] += np.matmul(kt[t].T, gy, out=tmp)
+        else:
+            # input pixel q meets the gradient of output pixel q - o through
+            # tap (blk, o), which is column d - o + q of gz
+            rows = _shifted_stack(gz, [(0, d - o) for _, o in taps], m)
+            for blk, t0, t1 in phases:
+                r = rows[t0 * cout:t1 * cout]
+                if gk is not None:
+                    gk[t0:t1] = (xf[blk] @ r.T).reshape(cin, -1, cout).transpose(1, 2, 0)
+                if gx is not None:
+                    gx[blk] = kt[t0:t1].transpose(2, 0, 1).reshape(cin, -1) @ r
+        if gk is not None:
+            full = np.empty(kernel.shape, dtype=dt)
+            full[:, :, ki, kj] = gk.transpose(1, 2, 0)
+            _accumulate(kernel, full)
+        if gx is not None:
+            # back from phase images to the padded image, then crop
+            gx = gx.reshape(s, s, cin, n, hs, ws).transpose(2, 3, 4, 0, 5, 1)
+            gx = gx.reshape(cin, n, hs * s, ws * s)[:, :, p:p + h, p:p + w]
+            _accumulate(x, gx.transpose(1, 0, 2, 3))
 
     out._backward_fn = bw if out.requires_grad else None
     return out

@@ -155,8 +155,13 @@ def train(train_cfg: TrainConfig, model_cfg: ModelConfig, train_dir,
     Writes ``log.jsonl`` and one checkpoint per epoch under ``out_dir``.
     ``resume`` names a checkpoint written by this function.
     """
-    if not D.list_sample_ids(train_dir):
+    n_samples = len(D.list_sample_ids(train_dir))
+    if not n_samples:
         raise ValueError(f"training directory {train_dir} is empty")
+    if n_samples < train_cfg.batch_size:
+        # batches are full or dropped, so there would be nothing to train on
+        raise ValueError(f"training directory {train_dir} holds {n_samples} "
+                         f"samples, fewer than batch_size={train_cfg.batch_size}")
     os.makedirs(out_dir, exist_ok=True)
     start_epoch = 1
     state = OptimState()

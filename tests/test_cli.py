@@ -114,6 +114,29 @@ def test_runtime_failure_exits_two(workspace, capsys):
     assert err["code"] == 2
 
 
+def test_truncated_checkpoint_exits_one(workspace, capsys):
+    bad = workspace["root"] / "truncated.ckpt"
+    bad.write_bytes(workspace["ckpt"].read_bytes()[:-10])
+    code = main(["predict", "--checkpoint", str(bad),
+                 "--rgb", str(workspace["data"] / "000000_rgb.ppm"),
+                 "--sparse", str(workspace["data"] / "000000_sparse.pgm"),
+                 "--out", str(workspace["root"] / "never.pgm")])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert err["code"] == 1 and "truncated" in err["error"]
+
+
+def test_train_with_fewer_samples_than_batch_exits_one(workspace, capsys):
+    one = workspace["root"] / "one"
+    assert main(["gen-data", "--count", "1", "--out", str(one), "--seed", "2",
+                 "--width", "32", "--height", "32"]) == 0
+    code = main(["train", "--train-dir", str(one), "--out",
+                 str(workspace["root"] / "run1"), "--epochs", "1",
+                 "--width", "32", "--height", "32"])
+    assert code == 1
+    assert "batch_size" in capsys.readouterr().err
+
+
 def test_depth_colormap_shape_and_range():
     depth = np.linspace(0.5, 80.0, 12).reshape(3, 4)
     rgb = depth_colormap(depth, 0.5, 80.0)

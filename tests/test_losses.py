@@ -3,8 +3,8 @@ import pytest
 
 from depthfusion import tensor as T
 from depthfusion.losses import (LossWeights, PixelLossKind, ReciprocalCodec,
-                                berhu, loss_edge, loss_pixel, loss_ssim,
-                                loss_total, ssim)
+                                _uniform_window_mean, berhu, loss_edge,
+                                loss_pixel, loss_ssim, loss_total, ssim)
 from depthfusion.tensor import Tensor
 
 C1 = 0.01 ** 2
@@ -28,6 +28,21 @@ def test_ssim_constant_pair_closed_form():
     assert abs(ssim(a, b).item() - expected) < 1e-12
     assert abs(loss_ssim(a, b).item() - (1.0 - expected) / 2.0) < 1e-12
     assert abs(loss_ssim(a, b).item() - 0.49995) < 1e-7
+
+
+@pytest.mark.parametrize("window", [1, 3, 7])
+def test_window_mean_and_adjoint_match_conv(window):
+    rng = np.random.default_rng(window)
+    x = tmap(rng.uniform(0, 1, size=(2, 1, 12, 15)))
+    box = _uniform_window_mean(x, window)
+    kernel = Tensor(np.full((1, 1, window, window), 1.0 / window ** 2))
+    x_conv = tmap(x.data)
+    conv = T.conv2d(x_conv, kernel, Tensor(np.zeros(1)), stride=1, padding=0)
+    np.testing.assert_allclose(box.data, conv.data, rtol=0, atol=1e-12)
+    g = Tensor(rng.normal(size=box.shape))
+    grads_box = T.backward(T.sum_all(box * g))
+    grads_conv = T.backward(T.sum_all(conv * g))
+    np.testing.assert_allclose(grads_box[x], grads_conv[x_conv], rtol=0, atol=1e-12)
 
 
 def test_ssim_rejects_bad_window():

@@ -162,3 +162,69 @@ def test_checkpoint_rejects_garbage(tmp_path):
     path.write_bytes(b"not a checkpoint\n")
     with pytest.raises(ValueError):
         load_checkpoint(path)
+
+
+def test_predict_depth_builds_no_graph_and_matches_graph_forward():
+    model = build_model(TINY)
+    rgb, sparse = _inputs(TINY, seed=3, batch=2)
+    sparse_m = sparse * 40.0
+    codec = TINY.codec()
+    with T.no_grad():
+        out = model.predict(Tensor(rgb.astype(np.float32)),
+                            Tensor(encode_sparse(sparse_m, codec).astype(np.float32)))
+    assert out._backward_fn is None and out._parents == ()
+    graph = model.predict(Tensor(rgb.astype(np.float32)),
+                          Tensor(encode_sparse(sparse_m, codec).astype(np.float32)))
+    assert graph._backward_fn is not None
+    expected = codec.decode(graph.data.astype(np.float64))[:, 0]
+    assert model.predict_depth(rgb, sparse_m).tobytes() == expected.tobytes()
+
+
+def _saved(tmp_path, model, **kwargs):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, model, **kwargs)
+    return path
+
+
+def test_checkpoint_rejects_wrong_shape(tmp_path):
+    model = build_model(TINY)
+    model.params["head.kernel"] = Tensor(np.zeros((1, 2, 3, 3), dtype=np.float32))
+    with pytest.raises(ValueError, match="'head.kernel' has shape"):
+        load_checkpoint(_saved(tmp_path, model))
+
+
+def test_checkpoint_rejects_missing_weight(tmp_path):
+    model = build_model(TINY)
+    del model.params["enc1.conv.bias"]
+    with pytest.raises(ValueError, match="'enc1.conv.bias' is missing"):
+        load_checkpoint(_saved(tmp_path, model))
+
+
+def test_checkpoint_rejects_unknown_tensor(tmp_path):
+    model = build_model(TINY)
+    bias = np.zeros(3, dtype=np.float32)
+    with pytest.raises(ValueError, match="'adam.q.fuse.bias' is neither"):
+        load_checkpoint(_saved(tmp_path, model, moments={"adam.q.fuse.bias": bias}))
+    with pytest.raises(ValueError, match="'adam.m.nope' is neither"):
+        load_checkpoint(_saved(tmp_path, model, moments={"adam.m.nope": bias}))
+
+
+def test_checkpoint_rejects_bad_length(tmp_path):
+    model = build_model(TINY)
+    blob = _saved(tmp_path, model).read_bytes()
+    n = len(model.params)
+    bad = tmp_path / "bad.ckpt"
+    cases = [
+        (blob[:-3], "truncated in tensor 'head.bias'"),
+        (blob[:-4], "truncated in tensor 'head.bias'"),
+        (blob + b"\0", "1 trailing bytes"),
+        (blob.replace(f"tensors={n}\n".encode(), f"tensors={n + 1}\n".encode()),
+         f"declares {n + 1} tensors, the file holds {n}"),
+        (blob.replace(f"tensors={n}\n".encode(), f"tensors={n - 1}\n".encode()),
+         "trailing bytes"),
+        (blob[:40], "truncated in the header"),
+    ]
+    for data, message in cases:
+        bad.write_bytes(data)
+        with pytest.raises(ValueError, match=message):
+            load_checkpoint(bad)

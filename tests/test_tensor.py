@@ -44,6 +44,71 @@ def test_conv2d_stride2_output_shape():
     assert out.shape == (1, 5, 4, 6)
 
 
+def _conv_reference(x, k, b, stride, pad, g):
+    """Direct loops: the output and the gradients of sum(output * g)."""
+    n, cin, h, w = x.shape
+    cout, _, kh, kw = k.shape
+    xp = np.zeros((n, cin, h + 2 * pad, w + 2 * pad))
+    xp[:, :, pad:pad + h, pad:pad + w] = x
+    ho = (h + 2 * pad - kh) // stride + 1
+    wo = (w + 2 * pad - kw) // stride + 1
+    y = np.zeros((n, cout, ho, wo))
+    gxp = np.zeros_like(xp)
+    gk = np.zeros_like(k)
+    for img in range(n):
+        for o in range(cout):
+            for u in range(ho):
+                for v in range(wo):
+                    win = np.s_[img, :, u * stride:u * stride + kh,
+                                v * stride:v * stride + kw]
+                    y[img, o, u, v] = (xp[win] * k[o]).sum() + b[o]
+                    gk[o] += g[img, o, u, v] * xp[win]
+                    gxp[win] += g[img, o, u, v] * k[o]
+    return y, gxp[:, :, pad:pad + h, pad:pad + w], gk, g.sum(axis=(0, 2, 3))
+
+
+# (batch, cin, cout, kernel, stride, padding, height, width)
+CONV_CASES = [
+    (1, 1, 1, 1, 1, 0, 5, 6),
+    (3, 3, 5, 3, 1, 1, 6, 7),
+    (1, 6, 2, 3, 2, 1, 8, 9),
+    (3, 1, 4, 7, 1, 0, 9, 8),
+    (1, 3, 1, 7, 2, 1, 11, 10),
+    (3, 6, 1, 3, 2, 0, 7, 8),
+    (1, 5, 3, 1, 2, 1, 6, 6),
+    (3, 4, 4, 3, 1, 0, 5, 5),
+    (1, 3, 8, 3, 2, 1, 9, 7),
+]
+
+
+@pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+@pytest.mark.parametrize("n, cin, cout, k, stride, pad, h, w", CONV_CASES)
+def test_conv2d_matches_direct_loops(n, cin, cout, k, stride, pad, h, w, dtype, tol):
+    rng = np.random.default_rng(cin * 100 + cout * 10 + k)
+    x = t(rng.normal(size=(n, cin, h, w)), dtype=dtype)
+    kern = t(rng.normal(size=(cout, cin, k, k)), dtype=dtype)
+    b = t(rng.normal(size=cout), dtype=dtype)
+    out = T.conv2d(x, kern, b, stride=stride, padding=pad)
+    g = rng.normal(size=out.shape).astype(dtype)
+    grads = T.backward(T.sum_all(out * t(g, grad=False, dtype=dtype)))
+    want = _conv_reference(*(a.data.astype(np.float64) for a in (x, kern, b)),
+                           stride, pad, g.astype(np.float64))
+    for got, ref in zip((out.data, grads[x], grads[kern], grads[b]), want):
+        assert got.dtype == dtype and got.shape == ref.shape
+        assert np.abs(got - ref).max() <= tol * np.abs(ref).max()
+
+
+def test_no_grad_records_no_graph():
+    x = t(np.ones((1, 2, 4, 4)))
+    k = t(np.ones((3, 2, 3, 3)))
+    b = t(np.zeros(3))
+    with T.no_grad():
+        out = T.sigmoid(T.conv2d(x, k, b, stride=1, padding=1))
+    assert not out.requires_grad
+    assert out._backward_fn is None and out._parents == ()
+    assert T.conv2d(x, k, b, stride=1, padding=1)._backward_fn is not None
+
+
 def test_bilinear_upsample_hand_values():
     x = t([[[[0.0, 1.0]]]])
     out = T.bilinear_upsample2x(x)

@@ -117,3 +117,13 @@ def test_resume_matches_uninterrupted_run(dataset, tmp_path):
 def test_train_rejects_empty_directory(tmp_path):
     with pytest.raises(ValueError):
         train(TrainConfig(epochs=1), SMALL, tmp_path)
+
+
+def test_train_rejects_fewer_samples_than_batch(tmp_path):
+    data = tmp_path / "one"
+    D.generate_dataset(data, 1, {"day": 1.0}, seed=0,
+                       spec=D.SceneSpec(width=32, height=32))
+    out = tmp_path / "run"
+    with pytest.raises(ValueError, match="fewer than batch_size=2"):
+        train(TrainConfig(epochs=1, batch_size=2), SMALL, data, out_dir=out)
+    assert not out.exists() or not any(out.iterdir())
