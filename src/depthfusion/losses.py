@@ -65,35 +65,11 @@ class ReciprocalCodec:
         return np.clip(d, self.d_min, self.d_max)
 
 
-def _box_sum(a: np.ndarray, window: int) -> np.ndarray:
-    """Sums of every `window` consecutive entries along the last axis, as
-    differences of a float64 running sum."""
-    c = np.zeros(a.shape[:-1] + (a.shape[-1] + 1,))
-    np.cumsum(a, axis=-1, dtype=np.float64, out=c[..., 1:])
-    return c[..., window:] - c[..., :-window]
-
-
 def _uniform_window_mean(x: Tensor, window: int) -> Tensor:
-    """Mean over every valid window x window square: a separable box filter."""
     n, c, h, w = x.shape
     if c != 1:
         raise T.ShapeError(f"ssim expects single-channel maps, got {x.shape}")
-    scale = 1.0 / (window * window)
-
-    def box_mean(a):
-        rows = _box_sum(a, window).swapaxes(2, 3)
-        return (_box_sum(rows, window).swapaxes(2, 3) * scale).astype(x.dtype)
-
-    out = T._make(box_mean(x.data), (x,), None, "window_mean")
-
-    def bw():
-        # the adjoint of a valid box sum is the box sum of the gradient
-        # zero-padded by window - 1 on every side
-        k = window - 1
-        T._accumulate(x, box_mean(np.pad(out.grad, ((0, 0), (0, 0), (k, k), (k, k)))))
-
-    out._backward_fn = bw if out.requires_grad else None
-    return out
+    return T.window_mean(x, window)
 
 
 def ssim(a: Tensor, b: Tensor, window: int = 7,

@@ -30,6 +30,7 @@ __all__ = [
     "sigmoid",
     "sum_all",
     "tslice",
+    "window_mean",
 ]
 
 
@@ -359,16 +360,6 @@ def concat_channels(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def _shifted_stack(mats, taps, width: int) -> np.ndarray:
-    """Column windows mats[block][:, o:o + width] per (block, o) tap, stacked
-    by rows into one GEMM operand."""
-    rows = mats.shape[1]
-    stack = np.empty((len(taps) * rows, width), dtype=mats.dtype)
-    for t, (blk, o) in enumerate(taps):
-        stack[t * rows:(t + 1) * rows] = mats[blk, :, o:o + width]
-    return stack
-
-
 def conv2d(x: Tensor, kernel: Tensor, bias: Tensor,
            stride: int = 1, padding: int = 0) -> Tensor:
     """2-D cross-correlation with zero padding (no kernel flip).
@@ -426,22 +417,14 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor,
     d = max(o for _, o in taps)
     cols = m - d  # output pixels sit in the first `cols` grid columns
 
-    # The side with fewer rows per tap is stacked into one GEMM operand:
-    # the input when it has fewer channels than the output, else the
-    # output gradient in the input gradient. The other side runs one GEMM
-    # per tap on shifted views, which BLAS reads in place.
-    stacked = cin < cout and len(taps) > 1
+    # one GEMM per tap on shifted views, which BLAS reads in place
     y = np.empty((cout, m), dtype=dt)  # columns from `cols` on are never read
     acc = y[:, :cols]
-    if stacked:
-        np.matmul(kt.transpose(1, 0, 2).reshape(cout, -1),
-                  _shifted_stack(xf, taps, cols), out=acc)
-    else:
-        tmp = np.empty_like(acc)
-        for t, (blk, o) in enumerate(taps):
-            np.matmul(kt[t], xf[blk, :, o:o + cols], out=tmp if t else acc)
-            if t:
-                acc += tmp
+    tmp = np.empty_like(acc)
+    for t, (blk, o) in enumerate(taps):
+        np.matmul(kt[t], xf[blk, :, o:o + cols], out=tmp if t else acc)
+        if t:
+            acc += tmp
     data = np.empty((n, cout, ho, wo), dtype=dt)
     np.add(y.reshape(cout, n, hs, ws)[:, :, :ho, :wo].transpose(1, 0, 2, 3),
            bias.data.reshape(1, cout, 1, 1), out=data)
@@ -452,29 +435,22 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor,
         if bias.requires_grad:
             _accumulate(bias, g.sum(axis=(0, 2, 3)))
         # the output gradient on the padded grid, behind d zero columns
-        gz = np.zeros((1, cout, d + m), dtype=dt)
-        gz[0, :, d:].reshape(cout, n, hs, ws)[:, :, :ho, :wo] = g.transpose(1, 0, 2, 3)
-        gy = gz[0, :, d:d + cols]
+        gz = np.zeros((cout, d + m), dtype=dt)
+        gz[:, d:].reshape(cout, n, hs, ws)[:, :, :ho, :wo] = g.transpose(1, 0, 2, 3)
         gk = np.empty_like(kt) if kernel.requires_grad else None
         gx = np.zeros_like(xf) if x.requires_grad else None
-        if stacked:
+        # input pixel q meets the gradient of output pixel q - o through
+        # tap o, which is column d - o + q of gz; both gradients are one
+        # GEMM per phase against this stack of shifted rows
+        rows = np.empty((len(taps) * cout, m), dtype=dt)
+        for t, (_, o) in enumerate(taps):
+            rows[t * cout:(t + 1) * cout] = gz[:, d - o:d - o + m]
+        for blk, t0, t1 in phases:
+            r = rows[t0 * cout:t1 * cout]
             if gk is not None:
-                gk[:] = (gy @ _shifted_stack(xf, taps, cols).T).reshape(
-                    cout, len(taps), cin).transpose(1, 0, 2)
+                gk[t0:t1] = (xf[blk] @ r.T).reshape(cin, -1, cout).transpose(1, 2, 0)
             if gx is not None:
-                tmp = np.empty((cin, cols), dtype=dt)
-                for t, (blk, o) in enumerate(taps):
-                    gx[blk, :, o:o + cols] += np.matmul(kt[t].T, gy, out=tmp)
-        else:
-            # input pixel q meets the gradient of output pixel q - o through
-            # tap (blk, o), which is column d - o + q of gz
-            rows = _shifted_stack(gz, [(0, d - o) for _, o in taps], m)
-            for blk, t0, t1 in phases:
-                r = rows[t0 * cout:t1 * cout]
-                if gk is not None:
-                    gk[t0:t1] = (xf[blk] @ r.T).reshape(cin, -1, cout).transpose(1, 2, 0)
-                if gx is not None:
-                    gx[blk] = kt[t0:t1].transpose(2, 0, 1).reshape(cin, -1) @ r
+                gx[blk] = kt[t0:t1].transpose(2, 0, 1).reshape(cin, -1) @ r
         if gk is not None:
             full = np.empty(kernel.shape, dtype=dt)
             full[:, :, ki, kj] = gk.transpose(1, 2, 0)
@@ -494,6 +470,39 @@ def conv1x1(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     if len(kernel.shape) != 4 or kernel.shape[2:] != (1, 1):
         raise ShapeError(f"conv1x1: kernel must be [C',C,1,1], got {kernel.shape}")
     return conv2d(x, kernel, bias, stride=1, padding=0)
+
+
+def _box_sum(a: np.ndarray, window: int) -> np.ndarray:
+    """Sums of every `window` consecutive entries along the last axis, as
+    differences of a float64 running sum."""
+    c = np.zeros(a.shape[:-1] + (a.shape[-1] + 1,))
+    np.cumsum(a, axis=-1, dtype=np.float64, out=c[..., 1:])
+    return c[..., window:] - c[..., :-window]
+
+
+def window_mean(x: Tensor, window: int) -> Tensor:
+    """Mean over every valid window x window square of each channel: a
+    separable box filter, equal to a valid conv2d with a constant kernel."""
+    if len(x.shape) != 4:
+        raise ShapeError(f"window_mean: expected 4-D input, got {x.shape}")
+    if not 1 <= window <= min(x.shape[2:]):
+        raise ShapeError(f"window_mean: window {window} does not fit {x.shape}")
+    scale = 1.0 / (window * window)
+
+    def box_mean(a):
+        rows = _box_sum(a, window).swapaxes(2, 3)
+        return (_box_sum(rows, window).swapaxes(2, 3) * scale).astype(x.dtype)
+
+    out = _make(box_mean(x.data), (x,), None, "window_mean")
+
+    def bw():
+        # the adjoint of a valid box sum is the box sum of the gradient
+        # zero-padded by window - 1 on every side
+        k = window - 1
+        _accumulate(x, box_mean(np.pad(out.grad, ((0, 0), (0, 0), (k, k), (k, k)))))
+
+    out._backward_fn = bw if out.requires_grad else None
+    return out
 
 
 def maxpool2x(x: Tensor) -> Tensor:

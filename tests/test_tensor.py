@@ -109,6 +109,15 @@ def test_no_grad_records_no_graph():
     assert T.conv2d(x, k, b, stride=1, padding=1)._backward_fn is not None
 
 
+def test_window_mean_shape_validation():
+    x = t(np.ones((1, 2, 5, 6)))
+    assert T.window_mean(x, 5).shape == (1, 2, 1, 2)
+    with pytest.raises(ShapeError):
+        T.window_mean(t(np.ones((2, 5, 6))), 3)
+    with pytest.raises(ShapeError):
+        T.window_mean(x, 6)
+
+
 def test_bilinear_upsample_hand_values():
     x = t([[[[0.0, 1.0]]]])
     out = T.bilinear_upsample2x(x)
