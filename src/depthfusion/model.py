@@ -12,7 +12,9 @@ normalized reciprocal depth in (0, 1).
 from __future__ import annotations
 
 import ast
+import contextlib
 import math
+import os
 import struct
 from dataclasses import dataclass, asdict
 from enum import Enum
@@ -119,16 +121,6 @@ class Model:
         for s in range(1, cfg.encoder_stages + 1):
             h, w = h // 2, w // 2
             shapes.append((cfg.base_channels * 2 ** (s - 1), h, w))
-        return shapes
-
-    def skip_shapes(self):
-        """Pre-downsample activation shapes, one per encoder stage."""
-        cfg = self.config
-        shapes = []
-        h, w = cfg.input_height, cfg.input_width
-        for s in range(1, cfg.encoder_stages + 1):
-            shapes.append((cfg.base_channels * 2 ** (s - 1), h, w))
-            h, w = h // 2, w // 2
         return shapes
 
     # -- forward ------------------------------------------------------------
@@ -248,22 +240,31 @@ def save_checkpoint(path, model: Model, extra: dict | None = None,
     named = {name: t.data for name, t in tensors.items()}
     if moments:
         named.update(moments)
-    with open(path, "wb") as f:
-        f.write(f"{CHECKPOINT_MAGIC}\n".encode("utf-8"))
-        for k in _CONFIG_KEYS:
-            f.write(f"config.{k}={cfg[k]!r}\n".encode("utf-8"))
-        for k in sorted(extra or {}):
-            f.write(f"state.{k}={extra[k]!r}\n".encode("utf-8"))
-        f.write(f"tensors={len(named)}\n".encode("utf-8"))
-        for name, arr in named.items():
-            nb = name.encode("utf-8")
-            a32 = np.ascontiguousarray(arr, dtype="<f4")
-            f.write(struct.pack("<I", len(nb)))
-            f.write(nb)
-            f.write(struct.pack("<I", a32.ndim))
-            for ext in a32.shape:
-                f.write(struct.pack("<I", ext))
-            f.write(a32.tobytes())
+    # written beside the target and renamed over it, so a write that fails
+    # part-way leaves the previous checkpoint intact
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(f"{CHECKPOINT_MAGIC}\n".encode("utf-8"))
+            for k in _CONFIG_KEYS:
+                f.write(f"config.{k}={cfg[k]!r}\n".encode("utf-8"))
+            for k in sorted(extra or {}):
+                f.write(f"state.{k}={extra[k]!r}\n".encode("utf-8"))
+            f.write(f"tensors={len(named)}\n".encode("utf-8"))
+            for name, arr in named.items():
+                nb = name.encode("utf-8")
+                a32 = np.ascontiguousarray(arr, dtype="<f4")
+                f.write(struct.pack("<I", len(nb)))
+                f.write(nb)
+                f.write(struct.pack("<I", a32.ndim))
+                for ext in a32.shape:
+                    f.write(struct.pack("<I", ext))
+                f.write(a32.tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path):

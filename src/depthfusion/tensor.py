@@ -51,7 +51,8 @@ class Tensor:
     """A dense numeric array plus optional linkage into the autodiff graph.
 
     ``data`` is a numpy array (float32 or float64). Gradients accumulate by
-    sum into ``.grad`` when ``backward`` runs. Tensors are treated as
+    sum into ``.grad`` when ``backward`` runs; only leaves keep theirs
+    once it returns. Tensors are treated as
     immutable once used in the graph; the optimizer alone mutates ``.data``
     of leaf weights between steps.
     """
@@ -155,12 +156,14 @@ def _make(data, parents, backward_fn, op):
 
 
 def _accumulate(t: Tensor, g: np.ndarray):
+    # a gradient is stored as given and never written in place: add hands
+    # one array to both operands, and other ops pass on views of theirs
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = g.astype(t.data.dtype, copy=True)
+        t.grad = g.astype(t.data.dtype, copy=False)
     else:
-        t.grad += g
+        t.grad = (t.grad + g).astype(t.data.dtype, copy=False)
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -280,14 +283,21 @@ def sigmoid(a: Tensor) -> Tensor:
 
 
 def leaky_relu(a: Tensor, alpha: float) -> Tensor:
-    """x for x >= 0, alpha*x otherwise; alpha in [0, 1)."""
+    """x for x >= 0, alpha*x otherwise; alpha in [0, 1).
+
+    Computed as max(alpha*x, x), which picks the same value for every
+    finite x, signed zeros included, since alpha*x <= x exactly when x >= 0.
+    """
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"leaky_relu: alpha must be in [0, 1), got {alpha}")
-    mask = a.data >= 0
-    out = _make(np.where(mask, a.data, alpha * a.data), (a,), None, "leaky_relu")
+    y = a.data * alpha
+    np.maximum(y, a.data, out=y)
+    out = _make(y, (a,), None, "leaky_relu")
 
     def bw():
-        _accumulate(a, np.where(mask, out.grad, alpha * out.grad))
+        g = out.grad * alpha
+        np.copyto(g, out.grad, where=a.data >= 0)
+        _accumulate(a, g)
 
     out._backward_fn = bw if out.requires_grad else None
     return out
@@ -358,6 +368,12 @@ def concat_channels(a: Tensor, b: Tensor) -> Tensor:
 
     out._backward_fn = bw if out.requires_grad else None
     return out
+
+
+# cap on the shifted-row stack of a conv2d backward pass; larger stacks are
+# built and multiplied in column blocks. Above glibc's 32 MB mmap threshold
+# every call would map fresh pages and pay for their faults.
+_ROW_BLOCK_BYTES = 16 << 20
 
 
 def conv2d(x: Tensor, kernel: Tensor, bias: Tensor,
@@ -437,23 +453,30 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor,
         # the output gradient on the padded grid, behind d zero columns
         gz = np.zeros((cout, d + m), dtype=dt)
         gz[:, d:].reshape(cout, n, hs, ws)[:, :, :ho, :wo] = g.transpose(1, 0, 2, 3)
-        gk = np.empty_like(kt) if kernel.requires_grad else None
+        # gk[:, t*cout + c] is the gradient of kt[t, c]
+        gk = np.zeros((cin, len(taps) * cout), dtype=dt) if kernel.requires_grad else None
         gx = np.zeros_like(xf) if x.requires_grad else None
         # input pixel q meets the gradient of output pixel q - o through
         # tap o, which is column d - o + q of gz; both gradients are one
-        # GEMM per phase against this stack of shifted rows
-        rows = np.empty((len(taps) * cout, m), dtype=dt)
-        for t, (_, o) in enumerate(taps):
-            rows[t * cout:(t + 1) * cout] = gz[:, d - o:d - o + m]
-        for blk, t0, t1 in phases:
-            r = rows[t0 * cout:t1 * cout]
-            if gk is not None:
-                gk[t0:t1] = (xf[blk] @ r.T).reshape(cin, -1, cout).transpose(1, 2, 0)
-            if gx is not None:
-                gx[blk] = kt[t0:t1].transpose(2, 0, 1).reshape(cin, -1) @ r
+        # GEMM per phase against this stack of shifted rows, built for at
+        # most _ROW_BLOCK_BYTES of columns at a time
+        width = max(1, _ROW_BLOCK_BYTES // (len(taps) * cout * gz.itemsize))
+        stack = np.empty((len(taps) * cout, min(width, m)), dtype=dt)
+        for c0 in range(0, m, width):
+            c1 = min(c0 + width, m)
+            rows = stack[:, :c1 - c0]
+            for t, (_, o) in enumerate(taps):
+                rows[t * cout:(t + 1) * cout] = gz[:, d - o + c0:d - o + c1]
+            for blk, t0, t1 in phases:
+                r = rows[t0 * cout:t1 * cout]
+                if gk is not None:
+                    gk[:, t0 * cout:t1 * cout] += xf[blk, :, c0:c1] @ r.T
+                if gx is not None:
+                    np.matmul(kt[t0:t1].transpose(2, 0, 1).reshape(cin, -1), r,
+                              out=gx[blk, :, c0:c1])
         if gk is not None:
             full = np.empty(kernel.shape, dtype=dt)
-            full[:, :, ki, kj] = gk.transpose(1, 2, 0)
+            full[:, :, ki, kj] = gk.reshape(cin, len(taps), cout).transpose(2, 0, 1)
             _accumulate(kernel, full)
         if gx is not None:
             # back from phase images to the padded image, then crop
@@ -528,39 +551,58 @@ def maxpool2x(x: Tensor) -> Tensor:
     return out
 
 
-def _up2_last(x: np.ndarray) -> np.ndarray:
-    """Double the last axis with align_corners=False bilinear weights, edge clamped."""
-    xm1 = np.concatenate([x[..., :1], x[..., :-1]], axis=-1)
-    xp1 = np.concatenate([x[..., 1:], x[..., -1:]], axis=-1)
-    out = np.empty(x.shape[:-1] + (2 * x.shape[-1],), dtype=x.dtype)
-    out[..., 0::2] = 0.25 * xm1 + 0.75 * x
-    out[..., 1::2] = 0.75 * x + 0.25 * xp1
-    return out
+def _up2_index(axis):
+    """Index tuples into the pairs axis of an (..., n, 2, ...) view."""
+    ax = (slice(None),) * axis
+    return (ax + (slice(1, None),), ax + (slice(None, -1),),
+            ax + (slice(None, 1),), ax + (slice(-1, None),),
+            ax + (slice(None), 0), ax + (slice(None), 1))
 
 
-def _up2_last_T(g: np.ndarray) -> np.ndarray:
-    """Transpose of _up2_last applied to an output-sized gradient."""
-    ge = g[..., 0::2]
-    go = g[..., 1::2]
-    gx = 0.75 * ge + 0.75 * go
-    gx[..., :-1] += 0.25 * ge[..., 1:]
-    gx[..., 0] += 0.25 * ge[..., 0]
-    gx[..., 1:] += 0.25 * go[..., :-1]
-    gx[..., -1] += 0.25 * go[..., -1]
-    return gx
+def _up2(x: np.ndarray, axis: int) -> np.ndarray:
+    """Double one axis with align_corners=False bilinear weights, edges
+    clamped: out[2i] = 0.75 x[i] + 0.25 x[i-1] and out[2i+1] = 0.75 x[i] +
+    0.25 x[i+1], each formed as (x - q)[i] + q[i -/+ 1] with q = x/4."""
+    n = x.shape[axis]
+    lo, hi, first, last, even, odd = _up2_index(axis)
+    q = x / 4
+    r = x - q
+    out = np.empty(x.shape[:axis] + (n, 2) + x.shape[axis + 1:], dtype=x.dtype)
+    ev, od = out[even], out[odd]
+    np.add(r[lo], q[hi], out=ev[lo])
+    np.add(r[first], q[first], out=ev[first])
+    np.add(r[hi], q[lo], out=od[hi])
+    np.add(r[last], q[last], out=od[last])
+    return out.reshape(x.shape[:axis] + (2 * n,) + x.shape[axis + 1:])
+
+
+def _up2_T(g: np.ndarray, axis: int) -> np.ndarray:
+    """Transpose of _up2 applied to an output-sized gradient."""
+    n = g.shape[axis] // 2
+    lo, hi, first, last, even, odd = _up2_index(axis)
+    g = g.reshape(g.shape[:axis] + (n, 2) + g.shape[axis + 1:])
+    ge, go = g[even], g[odd]
+    gr = ge + go  # the gradient of r
+    gq = np.empty_like(gr)  # the gradient of q: ge[i+1] + go[i-1], clamped
+    gq[hi] = ge[lo]
+    gq[last] = go[last]
+    gq[lo] += go[hi]
+    gq[first] += ge[first]
+    # x reaches the output through r = x - x/4 and q = x/4
+    gr *= 0.75
+    gq *= 0.25
+    gr += gq
+    return gr
 
 
 def bilinear_upsample2x(x: Tensor) -> Tensor:
     """Double H and W; sample centers at (i+0.5)/2 - 0.5, edges clamped."""
     if len(x.shape) != 4:
         raise ShapeError(f"bilinear_upsample2x: expected 4-D input, got {x.shape}")
-    y = _up2_last(x.data)
-    y = _up2_last(y.swapaxes(2, 3)).swapaxes(2, 3)
-    out = _make(y, (x,), None, "upsample2x")
+    out = _make(_up2(_up2(x.data, 3), 2), (x,), None, "upsample2x")
 
     def bw():
-        g = _up2_last_T(out.grad.swapaxes(2, 3)).swapaxes(2, 3)
-        _accumulate(x, _up2_last_T(g))
+        _accumulate(x, _up2_T(_up2_T(out.grad, 2), 3))
 
     out._backward_fn = bw if out.requires_grad else None
     return out
@@ -573,8 +615,14 @@ def bilinear_upsample2x(x: Tensor) -> Tensor:
 def backward(loss: Tensor):
     """Propagate gradients from a scalar loss through the recorded graph.
 
-    Returns a map {tensor: gradient array} over every requires_grad tensor
-    reachable from the loss. Repeated use of a tensor accumulates by sum.
+    Returns a map {tensor: gradient array} over the leaves reachable from
+    the loss: the requires_grad tensors no op produced, such as weights and
+    inputs. Repeated use of a tensor accumulates by sum. Only leaf
+    gradients survive: each op node drops its ``.grad``, its backward
+    closure and its parents as soon as its closure has run, which frees
+    the buffers the closure saved while the walk goes on. ``.data`` is
+    kept. Returned arrays may be read-only views that share memory with
+    each other, so callers must not write into them.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.shape}")
@@ -595,14 +643,20 @@ def backward(loss: Tensor):
                 stack.append((p, False))
 
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(topo):
-        if node._backward_fn is not None:
-            node._backward_fn()
-    grads = {t: t.grad for t in topo if t.requires_grad and t.grad is not None}
-    # tear the graph down: the backward closures reference their own output
-    # tensor, and those reference cycles (with large saved buffers) otherwise
-    # sit around until a full gc pass
-    for node in topo:
-        node._parents = ()
+    grads = {}
+    # reversed topological order: every consumer of a node has passed its
+    # gradient on before the node is popped, and once popped the walk holds
+    # no reference to it
+    while topo:
+        node = topo.pop()
+        if node._backward_fn is None:
+            if node.requires_grad and node.grad is not None:
+                grads[node] = node.grad
+            continue
+        node._backward_fn()
+        # the closure references its own output tensor; dropping it breaks
+        # that cycle and frees the saved buffers now, not at the next gc pass
         node._backward_fn = None
+        node._parents = ()
+        node.grad = None
     return grads

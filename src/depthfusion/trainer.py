@@ -84,13 +84,27 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
         if g is None:
             continue
         g = g.astype(np.float32, copy=False)
-        m = state.m.setdefault(name, np.zeros_like(p.data, dtype=np.float32))
-        v = state.v.setdefault(name, np.zeros_like(p.data, dtype=np.float32))
-        m += (1.0 - b1) * (g - m)
-        v += (1.0 - b2) * (g * g - v)
-        mhat = m / bc1
-        vhat = v / bc2
-        p.data -= (state.lr * mhat / (np.sqrt(vhat) + state.epsilon)).astype(p.dtype)
+        for table in (state.m, state.v):
+            if name not in table:
+                table[name] = np.zeros_like(p.data, dtype=np.float32)
+        m, v = state.m[name], state.v[name]
+        # m += (1 - b1)(g - m); v += (1 - b2)(g^2 - v); then
+        # p -= lr (m / bc1) / (sqrt(v / bc2) + eps), in place through one
+        # scratch array; g belongs to the caller and is only read
+        s = np.subtract(g, m)
+        s *= 1.0 - b1
+        m += s
+        np.multiply(g, g, out=s)
+        s -= v
+        s *= 1.0 - b2
+        v += s
+        np.divide(v, bc2, out=s)
+        np.sqrt(s, out=s)
+        s += state.epsilon
+        step = m / bc1
+        step *= state.lr
+        step /= s
+        p.data -= step.astype(p.dtype, copy=False)
 
 
 def batch_to_tensors(samples, model: Model):
@@ -170,10 +184,9 @@ def train(train_cfg: TrainConfig, model_cfg: ModelConfig, train_dir,
         state.t = int(extra["adam_t"])
         start_epoch = int(extra["epoch"]) + 1
         _restore_moments(model, moments, state)
-        log = []
     else:
         model = build_model(model_cfg)
-        log = []
+    log = []
 
     log_path = os.path.join(out_dir, "log.jsonl")
     mode = "a" if resume is not None else "w"

@@ -228,3 +228,16 @@ def test_checkpoint_rejects_bad_length(tmp_path):
         bad.write_bytes(data)
         with pytest.raises(ValueError, match=message):
             load_checkpoint(bad)
+
+
+def test_checkpoint_write_failing_part_way_keeps_previous_file(tmp_path):
+    model = build_model(TINY)
+    path = _saved(tmp_path, model, extra={"epoch": 1})
+    before = path.read_bytes()
+    # the header and every weight are written before the bad moment raises
+    with pytest.raises(TypeError):
+        save_checkpoint(path, model, extra={"epoch": 2},
+                        moments={"adam.m.fuse.bias": object()})
+    assert path.read_bytes() == before
+    assert load_checkpoint(path)[1] == {"epoch": 1}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt"]

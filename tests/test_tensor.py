@@ -240,3 +240,122 @@ def test_forward_determinism():
     run = lambda: T.conv2d(Tensor(x), Tensor(k), Tensor(b),
                            stride=1, padding=1).data.tobytes()
     assert run() == run()
+
+
+def _graph_nodes(root):
+    nodes, stack = {}, [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in nodes:
+            nodes[id(node)] = node
+            stack.extend(node._parents)
+    return list(nodes.values())
+
+
+def test_backward_releases_everything_but_leaf_gradients():
+    rng = np.random.default_rng(3)
+    x = t(rng.normal(size=(2, 3, 6, 6)))
+    k = t(rng.normal(size=(4, 3, 3, 3)))
+    b = t(rng.normal(size=4))
+    h = T.leaky_relu(T.conv2d(x, k, b, stride=1, padding=1), 0.2)
+    up = T.bilinear_upsample2x(h)
+    loss = T.mean_all(up * up) + T.sum_all(h)
+    nodes = _graph_nodes(loss)
+    leaves = [n for n in nodes if n._backward_fn is None]
+    ops = [n for n in nodes if n._backward_fn is not None]
+    assert {id(n) for n in leaves} == {id(x), id(k), id(b)} and len(ops) > 5
+    data = {id(n): n.data.copy() for n in ops}
+    grads = T.backward(loss)
+    for n in ops:
+        assert n.grad is None and n._backward_fn is None and n._parents == ()
+        assert np.array_equal(n.data, data[id(n)])
+    assert set(grads) == set(leaves)
+    for leaf in leaves:
+        assert grads[leaf] is leaf.grad and leaf.grad.shape == leaf.shape
+
+
+def test_shared_gradient_is_not_written_by_a_later_sum():
+    a = t(np.ones((2, 3)))
+    b = t(np.ones((2, 3)))
+    out = a + b  # add hands one gradient array to both operands
+    c = a * 3.0  # a then accumulates a second gradient
+    T.backward(T.sum_all(out) + T.sum_all(c))
+    np.testing.assert_array_equal(b.grad, np.ones((2, 3)))
+    np.testing.assert_array_equal(a.grad, np.full((2, 3), 4.0))
+
+
+@pytest.mark.parametrize("block_bytes", [1, 2000])
+@pytest.mark.parametrize("n, cin, cout, k, stride, pad, h, w",
+                         [c for c in CONV_CASES if c[3] > 1])
+def test_conv2d_backward_in_column_blocks(monkeypatch, block_bytes,
+                                          n, cin, cout, k, stride, pad, h, w):
+    # 1 byte gives one-column blocks, 2000 bytes blocks of 1 to 27 columns
+    monkeypatch.setattr(T, "_ROW_BLOCK_BYTES", block_bytes)
+    rng = np.random.default_rng(cin * 100 + cout * 10 + k)
+    x = t(rng.normal(size=(n, cin, h, w)))
+    kern = t(rng.normal(size=(cout, cin, k, k)))
+    b = t(rng.normal(size=cout))
+    out = T.conv2d(x, kern, b, stride=stride, padding=pad)
+    g = rng.normal(size=out.shape)
+    grads = T.backward(T.sum_all(out * t(g, grad=False)))
+    want = _conv_reference(x.data, kern.data, b.data, stride, pad, g)
+    for got, ref in zip((grads[x], grads[kern], grads[b]), want[1:]):
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("alpha", [0.0, 0.2, 0.999])
+def test_leaky_relu_is_bitwise_the_where_form(dtype, alpha):
+    rng = np.random.default_rng(4)
+    x = np.concatenate([rng.normal(size=200) * 10.0 ** rng.integers(-30, 30, 200),
+                        [0.0, -0.0, 1e-45, -1e-45]]).astype(dtype)
+    g = np.concatenate([rng.normal(size=200), [1.0, -1.0, -0.0, 0.0]]).astype(dtype)
+    a = t(x, dtype=dtype)
+    out = T.leaky_relu(a, alpha)
+    grads = T.backward(T.sum_all(out * t(g, grad=False, dtype=dtype)))
+    mask = x >= 0
+    want = np.where(mask, x, alpha * x)
+    want_g = np.where(mask, g, alpha * g)
+    assert out.data.dtype == grads[a].dtype == dtype
+    assert out.data.tobytes() == want.tobytes()
+    assert grads[a].tobytes() == want_g.tobytes()
+
+
+def _up2_last_reference(x):
+    xm1 = np.concatenate([x[..., :1], x[..., :-1]], axis=-1)
+    xp1 = np.concatenate([x[..., 1:], x[..., -1:]], axis=-1)
+    out = np.empty(x.shape[:-1] + (2 * x.shape[-1],), dtype=x.dtype)
+    out[..., 0::2] = 0.25 * xm1 + 0.75 * x
+    out[..., 1::2] = 0.75 * x + 0.25 * xp1
+    return out
+
+
+def _up2_last_transpose_reference(g):
+    ge, go = g[..., 0::2], g[..., 1::2]
+    gx = 0.75 * ge + 0.75 * go
+    gx[..., :-1] += 0.25 * ge[..., 1:]
+    gx[..., 0] += 0.25 * ge[..., 0]
+    gx[..., 1:] += 0.25 * go[..., :-1]
+    gx[..., -1] += 0.25 * go[..., -1]
+    return gx
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(1, 1, 1, 1), (2, 3, 1, 5), (1, 2, 4, 1),
+                                   (2, 3, 5, 7)])
+def test_bilinear_upsample_matches_swapaxes_formula(shape, dtype):
+    rng = np.random.default_rng(sum(shape))
+    x = rng.normal(size=shape).astype(dtype)
+    a = t(x, dtype=dtype)
+    out = T.bilinear_upsample2x(a)
+    g = rng.normal(size=out.shape).astype(dtype)
+    grads = T.backward(T.sum_all(out * t(g, grad=False, dtype=dtype)))
+    up, up_t = _up2_last_reference, _up2_last_transpose_reference
+    want = up(up(x).swapaxes(2, 3)).swapaxes(2, 3)
+    want_g = up_t(up_t(g.swapaxes(2, 3)).swapaxes(2, 3))
+    assert out.data.flags.c_contiguous and out.data.dtype == dtype
+    ulp = np.spacing(np.abs(want).astype(dtype))
+    assert np.all(np.abs(out.data - want) <= ulp)
+    # the adjoint sums its four terms in another order
+    eps = np.finfo(dtype).eps
+    assert np.abs(grads[a] - want_g).max() <= 4 * eps * np.abs(g).max()

@@ -127,3 +127,29 @@ def test_train_rejects_fewer_samples_than_batch(tmp_path):
     with pytest.raises(ValueError, match="fewer than batch_size=2"):
         train(TrainConfig(epochs=1, batch_size=2), SMALL, data, out_dir=out)
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_adam_steps_are_byte_identical_to_the_textbook_form():
+    rng = np.random.default_rng(8)
+    shapes = {"k": (4, 3, 3, 3), "b": (4,)}
+    w0 = {n: rng.normal(size=s).astype(np.float32) for n, s in shapes.items()}
+    grads = [{n: rng.normal(size=s).astype(np.float32) for n, s in shapes.items()}
+             for _ in range(3)]
+    params = {n: Tensor(w.copy(), requires_grad=True) for n, w in w0.items()}
+    state = OptimState(lr=1e-3)
+    ref = {n: w.copy() for n, w in w0.items()}
+    m = {n: np.zeros_like(w) for n, w in w0.items()}
+    v = {n: np.zeros_like(w) for n, w in w0.items()}
+    for step, g in enumerate(grads, start=1):
+        adam_step(params, g, state)
+        for n in shapes:
+            m[n] += (1.0 - 0.9) * (g[n] - m[n])
+            v[n] += (1.0 - 0.999) * (g[n] * g[n] - v[n])
+            mhat = m[n] / (1.0 - 0.9 ** step)
+            vhat = v[n] / (1.0 - 0.999 ** step)
+            ref[n] -= (1e-3 * mhat / (np.sqrt(vhat) + 1e-8)).astype(np.float32)
+    for n in shapes:
+        assert params[n].data.tobytes() == ref[n].tobytes()
+        assert state.m[n].tobytes() == m[n].tobytes()
+        assert state.v[n].tobytes() == v[n].tobytes()
+        assert not np.array_equal(params[n].data, w0[n])
