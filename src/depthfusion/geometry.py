@@ -6,6 +6,7 @@ Depth is the camera-frame z coordinate in meters; a zero pixel means
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -124,22 +125,36 @@ def save_cloud_csv(cloud: PointCloud, path):
                 f.write(f"{float(p[0])!r},{float(p[1])!r},{float(p[2])!r}\n")
 
 
+def _number(text, path, lineno, key, kind=float):
+    """``kind(text)`` if that is finite, else a ValueError naming the file,
+    the line and the key."""
+    try:
+        value = kind(text)
+    except ValueError:
+        value = None
+    if value is None or not math.isfinite(value):
+        what = "an integer" if kind is int else "a finite number"
+        raise ValueError(f"{path}:{lineno}: {key}={text!r} is not {what}")
+    return value
+
+
 def load_cloud_csv(path) -> PointCloud:
-    with open(path, "r", encoding="utf-8") as f:
+    with open(path, "r", encoding="utf-8", errors="replace") as f:
         header = f.readline().strip()
         if header not in ("x,y,z", "x,y,z,intensity"):
             raise ValueError(f"{path}: bad point-cloud header {header!r}")
-        has_i = header.endswith("intensity")
+        keys = header.split(",")
+        has_i = len(keys) == 4
         pts, inten = [], []
         for lineno, line in enumerate(f, start=2):
             line = line.strip()
             if not line:
                 continue
             parts = line.split(",")
-            if len(parts) != (4 if has_i else 3):
+            if len(parts) != len(keys):
                 raise ValueError(f"{path}:{lineno}: expected "
-                                 f"{4 if has_i else 3} fields, got {len(parts)}")
-            vals = [float(p) for p in parts]
+                                 f"{len(keys)} fields, got {len(parts)}")
+            vals = [_number(p, path, lineno, k) for p, k in zip(parts, keys)]
             pts.append(vals[:3])
             if has_i:
                 inten.append(vals[3])
@@ -165,8 +180,12 @@ def save_calibration(intrinsics: CameraIntrinsics, pose: RigidPose, path):
 
 
 def load_calibration(path):
-    kv = {}
-    with open(path, "r", encoding="utf-8") as f:
+    """Intrinsics and pose from the key=value file ``save_calibration``
+    writes. A missing key, a value that is not a number and an invalid
+    camera or pose are ValueErrors naming the file, and the line and key
+    where there is one."""
+    kv = {}  # key -> (value, line number)
+    with open(path, "r", encoding="utf-8", errors="replace") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -174,11 +193,19 @@ def load_calibration(path):
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
             k, v = line.split("=", 1)
-            kv[k.strip()] = v.strip()
-    intr = CameraIntrinsics(
-        fx=float(kv["fx"]), fy=float(kv["fy"]),
-        cx=float(kv["cx"]), cy=float(kv["cy"]),
-        width=int(kv["width"]), height=int(kv["height"]))
-    r = np.array([[float(kv[f"r{i}{j}"]) for j in range(3)] for i in range(3)])
-    t = np.array([float(kv[f"t{i}"]) for i in range(3)])
-    return intr, RigidPose(r, t)
+            kv[k.strip()] = (v.strip(), lineno)
+
+    def get(key, kind=float):
+        if key not in kv:
+            raise ValueError(f"{path}: missing key {key!r}")
+        text, lineno = kv[key]
+        return _number(text, path, lineno, key, kind)
+
+    camera = dict(fx=get("fx"), fy=get("fy"), cx=get("cx"), cy=get("cy"),
+                  width=get("width", int), height=get("height", int))
+    r = np.array([[get(f"r{i}{j}") for j in range(3)] for i in range(3)])
+    t = np.array([get(f"t{i}") for i in range(3)])
+    try:
+        return CameraIntrinsics(**camera), RigidPose(r, t)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -125,8 +125,20 @@ def berhu(residual: Tensor, c: float) -> Tensor:
     return absr * m + quad * (1.0 - m)
 
 
+def berhu_threshold(residual: np.ndarray) -> float:
+    """The adaptive Berhu threshold c = 0.2 max|residual|, floored at 1e-6.
+
+    It is a constant of the step: no gradient flows through it.
+    """
+    return max(0.2 * float(np.abs(residual).max()), 1e-6)
+
+
 def loss_pixel(pred: Tensor, gt: Tensor,
-               kind: PixelLossKind = PixelLossKind.L1) -> Tensor:
+               kind: PixelLossKind = PixelLossKind.L1,
+               berhu_c: float | None = None) -> Tensor:
+    """Mean L1, L2 or Berhu penalty of pred - gt. The Berhu threshold
+    defaults to ``berhu_threshold`` of this residual; a caller that splits
+    a batch passes the whole batch's."""
     if pred.shape != gt.shape:
         raise T.ShapeError(f"loss_pixel: shape mismatch {pred.shape} vs {gt.shape}")
     diff = pred - gt
@@ -134,16 +146,15 @@ def loss_pixel(pred: Tensor, gt: Tensor,
         return T.mean_all(T.abs_(diff))
     if kind is PixelLossKind.L2:
         return T.mean_all(diff * diff)
-    # adaptive Berhu threshold from the batch residual range; treated as a
-    # constant of the step (no gradient through c)
-    c = max(0.2 * float(np.abs(diff.data).max()), 1e-6)
+    c = berhu_threshold(diff.data) if berhu_c is None else berhu_c
     return T.mean_all(berhu(diff, c))
 
 
 def loss_total(pred: Tensor, gt: Tensor,
                weights: LossWeights | None = None,
                kind: PixelLossKind = PixelLossKind.L1,
-               ssim_window: int = 7) -> Tensor:
+               ssim_window: int = 7,
+               berhu_c: float | None = None) -> Tensor:
     """Weighted sum of the SSIM, edge and pixel terms on reciprocal-depth maps."""
     w = weights or LossWeights()
     terms = []
@@ -152,7 +163,7 @@ def loss_total(pred: Tensor, gt: Tensor,
     if w.w_edge > 0:
         terms.append(loss_edge(pred, gt) * w.w_edge)
     if w.w_pixel > 0:
-        terms.append(loss_pixel(pred, gt, kind) * w.w_pixel)
+        terms.append(loss_pixel(pred, gt, kind, berhu_c) * w.w_pixel)
     total = terms[0]
     for t in terms[1:]:
         total = total + t

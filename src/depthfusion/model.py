@@ -206,10 +206,6 @@ class Model:
         depth = codec.decode(pred.astype(np.float64))
         return depth[0, 0] if single else depth[:, 0]
 
-    def zero_grad(self):
-        for p in self.params.values():
-            p.zero_grad()
-
 
 def encode_sparse(sparse_meters: np.ndarray, codec: ReciprocalCodec) -> np.ndarray:
     """Encode nonzero depths to reciprocal targets, keeping the 0 sentinel."""

@@ -149,6 +149,8 @@ def no_grad():
 
 
 def _make(data, parents, backward_fn, op):
+    # each op defines backward_fn before calling _make; the closure reads
+    # the op's `out` by name when it runs, after _make has returned it
     req = _grad_enabled and any(p.requires_grad for p in parents)
     return Tensor(data, requires_grad=req,
                   _parents=tuple(parents) if req else (),
@@ -188,13 +190,12 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         data = a.data + b.data
     except ValueError:
         raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
-    out = _make(data, (a, b), None, "add")
 
     def bw():
         _accumulate(a, _unbroadcast(out.grad, a.shape))
         _accumulate(b, _unbroadcast(out.grad, b.shape))
 
-    out._backward_fn = bw if out.requires_grad else None
+    out = _make(data, (a, b), bw, "add")
     return out
 
 
@@ -203,13 +204,12 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
         data = a.data - b.data
     except ValueError:
         raise ShapeError(f"sub: incompatible shapes {a.shape} and {b.shape}")
-    out = _make(data, (a, b), None, "sub")
 
     def bw():
         _accumulate(a, _unbroadcast(out.grad, a.shape))
         _accumulate(b, _unbroadcast(-out.grad, b.shape))
 
-    out._backward_fn = bw if out.requires_grad else None
+    out = _make(data, (a, b), bw, "sub")
     return out
 
 
@@ -218,13 +218,12 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         data = a.data * b.data
     except ValueError:
         raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}")
-    out = _make(data, (a, b), None, "mul")
 
     def bw():
         _accumulate(a, _unbroadcast(out.grad * b.data, a.shape))
         _accumulate(b, _unbroadcast(out.grad * a.data, b.shape))
 
-    out._backward_fn = bw if out.requires_grad else None
+    out = _make(data, (a, b), bw, "mul")
     return out
 
 
@@ -233,13 +232,12 @@ def div(a: Tensor, b: Tensor) -> Tensor:
         data = a.data / b.data
     except ValueError:
         raise ShapeError(f"div: incompatible shapes {a.shape} and {b.shape}")
-    out = _make(data, (a, b), None, "div")
 
     def bw():
         _accumulate(a, _unbroadcast(out.grad / b.data, a.shape))
         _accumulate(b, _unbroadcast(-out.grad * a.data / (b.data * b.data), b.shape))
 
-    out._backward_fn = bw if out.requires_grad else None
+    out = _make(data, (a, b), bw, "div")
     return out
 
 
@@ -256,12 +254,10 @@ def add_elementwise(a: Tensor, b: Tensor) -> Tensor:
 
 
 def abs_(a: Tensor) -> Tensor:
-    out = _make(np.abs(a.data), (a,), None, "abs")
-
     def bw():
         _accumulate(a, out.grad * np.sign(a.data))
 
-    out._backward_fn = bw if out.requires_grad else None
+    out = _make(np.abs(a.data), (a,), bw, "abs")
     return out
 
 
@@ -273,12 +269,11 @@ def sigmoid(a: Tensor) -> Tensor:
     s[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
     s[~pos] = ex / (1.0 + ex)
-    out = _make(s, (a,), None, "sigmoid")
 
     def bw():
         _accumulate(a, out.grad * s * (1.0 - s))
 
-    out._backward_fn = bw if out.requires_grad else None
+    out = _make(s, (a,), bw, "sigmoid")
     return out
 
 
@@ -292,60 +287,54 @@ def leaky_relu(a: Tensor, alpha: float) -> Tensor:
         raise ValueError(f"leaky_relu: alpha must be in [0, 1), got {alpha}")
     y = a.data * alpha
     np.maximum(y, a.data, out=y)
-    out = _make(y, (a,), None, "leaky_relu")
 
     def bw():
         g = out.grad * alpha
         np.copyto(g, out.grad, where=a.data >= 0)
         _accumulate(a, g)
 
-    out._backward_fn = bw if out.requires_grad else None
+    out = _make(y, (a,), bw, "leaky_relu")
     return out
 
 
 def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
     """Clip to [lo, hi]; gradient is passed through strictly inside the range."""
     inside = (a.data > lo) & (a.data < hi)
-    out = _make(np.clip(a.data, lo, hi), (a,), None, "clamp")
 
     def bw():
         _accumulate(a, out.grad * inside)
 
-    out._backward_fn = bw if out.requires_grad else None
+    out = _make(np.clip(a.data, lo, hi), (a,), bw, "clamp")
     return out
 
 
 def sum_all(a: Tensor) -> Tensor:
-    out = _make(a.data.sum(dtype=a.dtype).reshape(1), (a,), None, "sum")
-
     def bw():
         _accumulate(a, np.broadcast_to(out.grad.reshape(()), a.shape))
 
-    out._backward_fn = bw if out.requires_grad else None
+    out = _make(a.data.sum(dtype=a.dtype).reshape(1), (a,), bw, "sum")
     return out
 
 
 def mean_all(a: Tensor) -> Tensor:
     n = a.data.size
-    out = _make((a.data.sum(dtype=a.dtype) / n).reshape(1), (a,), None, "mean")
 
     def bw():
         _accumulate(a, np.broadcast_to(out.grad.reshape(()) / n, a.shape))
 
-    out._backward_fn = bw if out.requires_grad else None
+    out = _make((a.data.sum(dtype=a.dtype) / n).reshape(1), (a,), bw, "mean")
     return out
 
 
 def tslice(a: Tensor, key) -> Tensor:
     """Basic (non-fancy) slicing with gradient scatter into the source."""
-    out = _make(a.data[key], (a,), None, "slice")
 
     def bw():
         g = np.zeros_like(a.data)
         g[key] = out.grad
         _accumulate(a, g)
 
-    out._backward_fn = bw if out.requires_grad else None
+    out = _make(a.data[key], (a,), bw, "slice")
     return out
 
 
@@ -360,20 +349,22 @@ def concat_channels(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(
             f"concat_channels: batch/spatial mismatch {a.shape} vs {b.shape}")
     ca = a.shape[1]
-    out = _make(np.concatenate([a.data, b.data], axis=1), (a, b), None, "concat")
 
     def bw():
         _accumulate(a, out.grad[:, :ca])
         _accumulate(b, out.grad[:, ca:])
 
-    out._backward_fn = bw if out.requires_grad else None
+    out = _make(np.concatenate([a.data, b.data], axis=1), (a, b), bw, "concat")
     return out
 
 
 # cap on the shifted-row stack of a conv2d backward pass; larger stacks are
-# built and multiplied in column blocks. Above glibc's 32 MB mmap threshold
-# every call would map fresh pages and pay for their faults.
-_ROW_BLOCK_BYTES = 16 << 20
+# built and multiplied in column blocks. Stacks above glibc's 32 MB mmap
+# threshold would map and fault fresh pages on every call, and a train step
+# runs one backward pass per core at once: on 2 vCPUs a 96x160 batch-2 step
+# peaked at 237 MB of RSS with 16 MB blocks and at 206 MB with 4 MB blocks,
+# in the same time per step.
+_ROW_BLOCK_BYTES = 4 << 20
 
 
 def conv2d(x: Tensor, kernel: Tensor, bias: Tensor,
@@ -444,7 +435,6 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor,
     data = np.empty((n, cout, ho, wo), dtype=dt)
     np.add(y.reshape(cout, n, hs, ws)[:, :, :ho, :wo].transpose(1, 0, 2, 3),
            bias.data.reshape(1, cout, 1, 1), out=data)
-    out = _make(data, (x, kernel, bias), None, "conv2d")
 
     def bw():
         g = out.grad
@@ -453,9 +443,13 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor,
         # the output gradient on the padded grid, behind d zero columns
         gz = np.zeros((cout, d + m), dtype=dt)
         gz[:, d:].reshape(cout, n, hs, ws)[:, :, :ho, :wo] = g.transpose(1, 0, 2, 3)
-        # gk[:, t*cout + c] is the gradient of kt[t, c]
-        gk = np.zeros((cin, len(taps) * cout), dtype=dt) if kernel.requires_grad else None
-        gx = np.zeros_like(xf) if x.requires_grad else None
+        # gk[t*cout + c] is the gradient of kt[t, c]
+        gk = np.zeros((len(taps) * cout, cin), dtype=dt) if kernel.requires_grad else None
+        gx = None
+        if x.requires_grad:
+            # the GEMMs overwrite every column of each phase that has a tap;
+            # a 1x1 kernel at stride 2 leaves three phases unwritten
+            gx = (np.empty_like if len(phases) == s * s else np.zeros_like)(xf)
         # input pixel q meets the gradient of output pixel q - o through
         # tap o, which is column d - o + q of gz; both gradients are one
         # GEMM per phase against this stack of shifted rows, built for at
@@ -470,13 +464,13 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor,
             for blk, t0, t1 in phases:
                 r = rows[t0 * cout:t1 * cout]
                 if gk is not None:
-                    gk[:, t0 * cout:t1 * cout] += xf[blk, :, c0:c1] @ r.T
+                    gk[t0 * cout:t1 * cout] += r @ xf[blk, :, c0:c1].T
                 if gx is not None:
                     np.matmul(kt[t0:t1].transpose(2, 0, 1).reshape(cin, -1), r,
                               out=gx[blk, :, c0:c1])
         if gk is not None:
             full = np.empty(kernel.shape, dtype=dt)
-            full[:, :, ki, kj] = gk.reshape(cin, len(taps), cout).transpose(2, 0, 1)
+            full[:, :, ki, kj] = gk.reshape(len(taps), cout, cin).transpose(1, 2, 0)
             _accumulate(kernel, full)
         if gx is not None:
             # back from phase images to the padded image, then crop
@@ -484,7 +478,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor,
             gx = gx.reshape(cin, n, hs * s, ws * s)[:, :, p:p + h, p:p + w]
             _accumulate(x, gx.transpose(1, 0, 2, 3))
 
-    out._backward_fn = bw if out.requires_grad else None
+    out = _make(data, (x, kernel, bias), bw, "conv2d")
     return out
 
 
@@ -516,15 +510,13 @@ def window_mean(x: Tensor, window: int) -> Tensor:
         rows = _box_sum(a, window).swapaxes(2, 3)
         return (_box_sum(rows, window).swapaxes(2, 3) * scale).astype(x.dtype)
 
-    out = _make(box_mean(x.data), (x,), None, "window_mean")
-
     def bw():
         # the adjoint of a valid box sum is the box sum of the gradient
         # zero-padded by window - 1 on every side
         k = window - 1
         _accumulate(x, box_mean(np.pad(out.grad, ((0, 0), (0, 0), (k, k), (k, k)))))
 
-    out._backward_fn = bw if out.requires_grad else None
+    out = _make(box_mean(x.data), (x,), bw, "window_mean")
     return out
 
 
@@ -538,8 +530,6 @@ def maxpool2x(x: Tensor) -> Tensor:
     win = x.data.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
     win = win.reshape(n, c, h // 2, w // 2, 4)
     arg = win.argmax(axis=-1)  # argmax picks the first occurrence on ties
-    out = _make(np.take_along_axis(win, arg[..., None], axis=-1)[..., 0],
-                (x,), None, "maxpool2x")
 
     def bw():
         g = np.zeros((n, c, h // 2, w // 2, 4), dtype=x.dtype)
@@ -547,7 +537,8 @@ def maxpool2x(x: Tensor) -> Tensor:
         g = g.reshape(n, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5)
         _accumulate(x, g.reshape(n, c, h, w))
 
-    out._backward_fn = bw if out.requires_grad else None
+    out = _make(np.take_along_axis(win, arg[..., None], axis=-1)[..., 0],
+                (x,), bw, "maxpool2x")
     return out
 
 
@@ -599,12 +590,11 @@ def bilinear_upsample2x(x: Tensor) -> Tensor:
     """Double H and W; sample centers at (i+0.5)/2 - 0.5, edges clamped."""
     if len(x.shape) != 4:
         raise ShapeError(f"bilinear_upsample2x: expected 4-D input, got {x.shape}")
-    out = _make(_up2(_up2(x.data, 3), 2), (x,), None, "upsample2x")
 
     def bw():
         _accumulate(x, _up2_T(_up2_T(out.grad, 2), 3))
 
-    out._backward_fn = bw if out.requires_grad else None
+    out = _make(_up2(_up2(x.data, 3), 2), (x,), bw, "upsample2x")
     return out
 
 

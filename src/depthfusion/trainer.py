@@ -4,12 +4,24 @@ in metric depth, checkpointing and JSON-lines logging.
 Everything is reproducible under fixed seeds: the batch order derives from
 (seed, epoch), augmentation from (seed, epoch, batch), so resuming from a
 checkpoint continues the exact trajectory of an uninterrupted run.
+
+A train step is data-parallel across the cores of one machine: each
+sample's forward, loss and backward run on their own thread with BLAS held
+at one thread, and the per-sample gradients are averaged in sample order
+(the scheme of Li et al., "PyTorch Distributed: Experiences on
+Accelerating Data Parallel Training", VLDB 2020). So the trained weights
+do not depend on the BLAS thread count or on the number of cores.
 """
 
 from __future__ import annotations
 
+import contextlib
+import copy
+import ctypes
+import functools
 import json
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,7 +29,7 @@ import numpy as np
 from . import data as D
 from . import metrics as M
 from . import tensor as T
-from .losses import LossWeights, PixelLossKind, loss_total
+from .losses import LossWeights, PixelLossKind, berhu_threshold, loss_total
 from .model import (FusionMode, Model, ModelConfig, build_model,
                     encode_sparse, load_checkpoint, save_checkpoint)
 from .tensor import Tensor
@@ -120,18 +132,114 @@ def batch_to_tensors(samples, model: Model):
             Tensor(target))
 
 
+@functools.cache
+def _blas_threads():
+    """The (get, set) thread-count functions of the OpenBLAS that numpy
+    loaded, found in /proc/self/maps, or None when there is none."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as f:
+            libs = sorted({line.split()[-1] for line in f
+                           if "openblas" in line.lower() and ".so" in line})
+    except OSError:
+        return None
+    for lib in libs:
+        try:
+            dll = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        # the names in numpy 2 wheels, numpy 1 wheels and a system OpenBLAS
+        for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "64_"),
+                               ("openblas_", "")):
+            get = getattr(dll, f"{prefix}get_num_threads{suffix}", None)
+            put = getattr(dll, f"{prefix}set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+def _usable_cores() -> int:
+    return len(os.sched_getaffinity(0))
+
+
+@contextlib.contextmanager
+def _per_sample(n_samples: int):
+    """Yields ``run(fn)``, which returns ``[fn(0), ..., fn(n_samples - 1)]``.
+
+    With an OpenBLAS whose thread count can be set, BLAS runs on one thread
+    inside the block and the calls are spread over up to
+    min(n_samples, usable cores) worker threads; the caller's BLAS thread
+    count is restored on the way out, after every worker has finished.
+    BLAS stays at one thread with a single worker too, so that a GEMM's
+    sums, and so the weights, do not depend on the number of cores.
+    Without that control the calls run serially and BLAS is left alone:
+    two workers on two-thread BLAS were slower than one batch graph.
+    """
+    control = _blas_threads()
+    if control is None:
+        yield lambda fn: list(map(fn, range(n_samples)))
+        return
+    get, put = control
+    before = get()
+    put(1)
+    try:
+        with ThreadPoolExecutor(min(n_samples, _usable_cores())) as pool:
+            yield lambda fn: list(pool.map(fn, range(n_samples)))
+    finally:
+        put(before)
+
+
+def _replica(model: Model) -> Model:
+    """``model`` with fresh leaf tensors over the same weight arrays, so a
+    graph built on it keeps its gradients apart from other replicas'."""
+    replica = copy.copy(model)
+    replica.params = {name: Tensor(p.data, requires_grad=True)
+                      for name, p in model.params.items()}
+    return replica
+
+
 def train_step(model: Model, samples, cfg: TrainConfig, state: OptimState) -> float:
+    """One Adam step on the mean loss over ``samples``; returns that loss.
+
+    Each sample builds its own graph over its own leaves (fork), the graphs
+    run on worker threads (``_per_sample``), and their gradients are summed
+    in sample order and scaled by 1/B (join). The SSIM, edge and pixel
+    terms are means over equal-sized samples, so the mean of the
+    per-sample losses is the batch loss; the Berhu threshold is taken over
+    the whole batch between the forwards and the losses.
+    """
     rgb, sparse, target = batch_to_tensors(samples, model)
-    model.zero_grad()
-    pred = model.predict(rgb, sparse)
-    loss = loss_total(pred, target, cfg.loss_weights, cfg.loss_kind)
-    value = loss.item()
-    if not np.isfinite(value):
-        raise TrainingAborted("non-finite training loss")
-    T.backward(loss)
-    grads = {name: p.grad for name, p in model.params.items() if p.grad is not None}
+    b = len(samples)
+    replicas = [_replica(model) for _ in range(b)]
+    targets = [Tensor(target.data[k:k + 1]) for k in range(b)]
+
+    def forward(k):
+        return replicas[k].predict(
+            Tensor(rgb.data[k:k + 1]),
+            None if sparse is None else Tensor(sparse.data[k:k + 1]))
+
+    def loss_and_backward(k):
+        loss = loss_total(preds[k], targets[k], cfg.loss_weights,
+                          cfg.loss_kind, berhu_c=berhu_c)
+        value = loss.item()
+        if not np.isfinite(value):
+            raise TrainingAborted("non-finite training loss")
+        T.backward(loss)
+        return value
+
+    with _per_sample(b) as run:
+        preds = run(forward)
+        berhu_c = None
+        if cfg.loss_kind is PixelLossKind.BERHU:
+            berhu_c = max(berhu_threshold(p.data - t.data)
+                          for p, t in zip(preds, targets))
+        values = run(loss_and_backward)
+    # np.add sums out of place: backward's leaf gradients may share memory
+    grads = {name: functools.reduce(np.add, [r.params[name].grad for r in replicas])
+             * (1.0 / b) for name in model.params}
     adam_step(model.params, grads, state)
-    return value
+    return sum(values) / b
 
 
 def validate(model: Model, val_dir) -> M.MetricsReport:

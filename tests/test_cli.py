@@ -105,6 +105,37 @@ def test_bad_input_exits_one(workspace, capsys):
     capsys.readouterr()
 
 
+def test_malformed_inputs_exit_one(workspace, capsys):
+    root, data = workspace["root"], workspace["data"]
+    bad = root / "malformed"
+    bad.mkdir()
+    s = D.load_sample(data, "000001")
+    G.save_cloud_csv(G.backproject(s.sparse, D.SceneSpec(width=32, height=32).intrinsics),
+                     bad / "cloud.csv")
+    G.save_calibration(D.SceneSpec(width=32, height=32).intrinsics,
+                       G.RigidPose.identity(), bad / "calib.txt")
+    (bad / "garbage.csv").write_text("x,y,z\n1,2,abc\n")
+    (bad / "short.txt").write_text("fx=10.0\nfy=10.0\ncx=5.0\n")
+    (bad / "short.pgm").write_bytes((data / "000002_sparse.pgm").read_bytes()[:-7])
+    (bad / "garbage.ppm").write_bytes(bytes(range(256)) * 4)
+    out = str(bad / "never.pgm")
+    cases = [
+        (["project", "--cloud", bad / "garbage.csv", "--calibration",
+          bad / "calib.txt", "--out", out], "garbage.csv:2: z='abc'"),
+        (["project", "--cloud", bad / "cloud.csv", "--calibration",
+          bad / "short.txt", "--out", out], "short.txt: missing key 'cy'"),
+        (["densify", "--sparse", bad / "short.pgm", "--guide",
+          data / "000002_rgb.ppm", "--out", out], "truncated pixel data"),
+        (["densify", "--sparse", data / "000002_sparse.pgm", "--guide",
+          bad / "garbage.ppm", "--out", out], "garbage.ppm: bad magic"),
+    ]
+    for argv, message in cases:
+        assert main([str(a) for a in argv]) == 1
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err["code"] == 1 and message in err["error"]
+    assert not (bad / "never.pgm").exists()
+
+
 def test_runtime_failure_exits_two(workspace, capsys):
     code = main(["predict", "--checkpoint", "/does/not/exist.ckpt",
                  "--rgb", str(workspace["data"] / "000000_rgb.ppm"),

@@ -47,6 +47,31 @@ def test_pnm_header_errors(tmp_path):
         D.load_ppm(path)  # truncated
 
 
+def test_pnm_truncated_and_garbage_inputs(tmp_path):
+    path = tmp_path / "bad.pgm"
+    D.save_depth_pgm(np.full((4, 5), 2.0), path)
+    good = path.read_bytes()
+    assert good.startswith(b"P5\n5 4\n65535\n")
+    cases = [
+        (good[:5], "malformed header token b'' at byte 5"),  # truncated header
+        (good[:-3], "truncated pixel data at byte 50"),
+        (good[:13], "truncated pixel data at byte 13"),  # no pixels at all
+        (b"P5\n5 x 65535\n" + good[13:], "malformed header token b'x' at byte 5"),
+        (bytes(range(256)), "bad magic at byte 0"),  # garbage
+    ]
+    for raw, message in cases:
+        path.write_bytes(raw)
+        with pytest.raises(ValueError) as info:
+            D.load_depth_pgm(path)
+        assert str(info.value).startswith(str(path))
+        assert message in str(info.value)
+    ppm = tmp_path / "bad.ppm"
+    D.save_ppm(np.zeros((4, 5, 3)), ppm)
+    ppm.write_bytes(ppm.read_bytes()[:-1])
+    with pytest.raises(ValueError, match="truncated pixel data"):
+        D.load_ppm(ppm)
+
+
 def test_sample_round_trip(tmp_path):
     s = D.generate_sample(D.SceneSpec(width=32, height=32), seed=5)
     D.save_sample(s, tmp_path)

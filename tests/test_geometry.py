@@ -115,3 +115,43 @@ def test_calibration_round_trip(tmp_path):
     assert intr2 == INTR
     np.testing.assert_array_equal(pose2.rotation, rot)
     np.testing.assert_array_equal(pose2.translation, pose.translation)
+
+
+def test_cloud_csv_errors_name_path_line_and_key(tmp_path):
+    path = tmp_path / "bad.csv"
+    cases = [
+        (b"x,y,z\n1,2,3\n4,abc,6\n", ":3: y='abc' is not a finite number"),
+        (b"x,y,z,intensity\n1,2,3,nan\n", ":2: intensity='nan' is not a finite number"),
+        (b"x,y,z\n1,2,3\n4,5", ":3: expected 3 fields, got 2"),  # truncated
+        (b"", "bad point-cloud header ''"),
+        (bytes(range(256)), "bad point-cloud header"),  # garbage
+    ]
+    for raw, message in cases:
+        path.write_bytes(raw)
+        with pytest.raises(ValueError) as info:
+            load_cloud_csv(path)
+        assert str(info.value).startswith(str(path))
+        assert message in str(info.value)
+
+
+def test_calibration_errors_name_path_line_and_key(tmp_path):
+    path = tmp_path / "calib.txt"
+    save_calibration(INTR, RigidPose.identity(), path)
+    good = path.read_text().splitlines()
+    assert good[2] == "cx=32.0" and good[4] == "width=64"
+    cases = [
+        ([line for line in good if not line.startswith("cy=")], "missing key 'cy'"),
+        (good[:4], "missing key 'width'"),  # truncated
+        (good[:2] + ["cx=abc"] + good[3:], ":3: cx='abc' is not a finite number"),
+        (good[:4] + ["width=64.5"] + good[5:], ":5: width='64.5' is not an integer"),
+        (good[:2] + ["cx=1000.0"] + good[3:], "principal point (1000.0, 24.0)"),
+    ]
+    for lines, message in cases:
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as info:
+            load_calibration(path)
+        assert str(info.value).startswith(str(path))
+        assert message in str(info.value)
+    path.write_bytes(bytes(range(256)))  # garbage
+    with pytest.raises(ValueError, match=":1: expected key=value"):
+        load_calibration(path)

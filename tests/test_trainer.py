@@ -1,13 +1,20 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from depthfusion import data as D
-from depthfusion.model import FusionMode, ModelConfig, build_model
+from depthfusion import tensor as T
+from depthfusion import trainer
+from depthfusion.losses import LossWeights, PixelLossKind, loss_total
+from depthfusion.model import FusionMode, Model, ModelConfig, build_model
 from depthfusion.tensor import Tensor
 from depthfusion.trainer import (OptimState, TrainConfig, TrainingAborted,
-                                 adam_step, lr_schedule, train, train_step)
+                                 adam_step, batch_to_tensors, lr_schedule,
+                                 train, train_step)
 
 SMALL = ModelConfig(input_height=32, input_width=32, base_channels=4,
                     encoder_stages=2, fusion_mode=FusionMode.CONCAT_TRUNCATE)
@@ -153,3 +160,104 @@ def test_adam_steps_are_byte_identical_to_the_textbook_form():
         assert state.m[n].tobytes() == m[n].tobytes()
         assert state.v[n].tobytes() == v[n].tobytes()
         assert not np.array_equal(params[n].data, w0[n])
+
+
+needs_blas_control = pytest.mark.skipif(
+    trainer._blas_threads() is None,
+    reason="no OpenBLAS thread-count control found in this process")
+
+
+def _samples(dataset, n=2):
+    return [D.load_sample(dataset, i) for i in D.list_sample_ids(dataset)][:n]
+
+
+@pytest.mark.parametrize("kind", list(PixelLossKind))
+def test_per_sample_step_matches_whole_batch_graph(dataset, monkeypatch, kind):
+    samples = _samples(dataset, 3)
+    cfg = TrainConfig(loss_kind=kind, loss_weights=LossWeights(1.0, 0.5, 2.0))
+    model = Model(SMALL, dtype=np.float64)
+    rgb, sparse, target = batch_to_tensors(samples, model)
+    batch = loss_total(model.predict(rgb, sparse), target, cfg.loss_weights, kind)
+    T.backward(batch)
+    seen = {}
+    monkeypatch.setattr(trainer, "adam_step",
+                        lambda params, grads, state: seen.update(grads))
+    value = train_step(model, samples, cfg, OptimState())
+    assert value == pytest.approx(batch.item(), rel=1e-12, abs=0)
+    assert seen.keys() == model.params.keys()
+    for name, p in model.params.items():
+        assert seen[name].dtype == np.float64
+        err = np.abs(seen[name] - p.grad).max()
+        assert err <= 1e-12 * np.abs(p.grad).max(), name
+
+
+@needs_blas_control
+def test_weights_do_not_depend_on_worker_count(dataset, monkeypatch):
+    # four workers, more than this machine's cores, switching threads often
+    samples = _samples(dataset, 4)
+    weights = []
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-5)
+        for cores in (1, 4):
+            monkeypatch.setattr(trainer, "_usable_cores", lambda: cores)
+            model = build_model(SMALL)
+            state = OptimState(lr=1e-3)
+            for _ in range(3):
+                train_step(model, samples, TrainConfig(batch_size=4), state)
+            weights.append(b"".join(p.data.tobytes() for p in model.params.values()))
+    finally:
+        sys.setswitchinterval(interval)
+    assert weights[0] == weights[1]
+
+
+@needs_blas_control
+def test_blas_threads_are_one_inside_the_step_and_restored(dataset, monkeypatch):
+    get, put = trainer._blas_threads()
+    original = get()
+    inside = []
+
+    def loss_spy(*args, **kwargs):
+        inside.append(get())
+        return loss_total(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "loss_total", loss_spy)
+    monkeypatch.setattr(trainer, "_usable_cores", lambda: 2)
+    samples = _samples(dataset)
+    try:
+        put(2)
+        train_step(build_model(SMALL), samples, TrainConfig(), OptimState())
+        assert inside == [1, 1]
+        assert get() == 2
+        model = build_model(SMALL)
+        model.params["head.bias"].data[:] = np.nan
+        with pytest.raises(TrainingAborted, match="non-finite training loss"):
+            train_step(model, samples, TrainConfig(), OptimState())
+        assert get() == 2
+    finally:
+        put(original)
+
+
+TRAIN_SCRIPT = """
+import sys
+from depthfusion.model import FusionMode, ModelConfig
+from depthfusion.trainer import TrainConfig, train
+train(TrainConfig(epochs=1, batch_size=2),
+      ModelConfig(input_height=32, input_width=32, base_channels=4,
+                  encoder_stages=2, fusion_mode=FusionMode.CONCAT_TRUNCATE),
+      sys.argv[1], out_dir=sys.argv[2])
+"""
+
+
+@needs_blas_control
+def test_checkpoints_do_not_depend_on_blas_thread_count(dataset, tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(trainer.__file__)))
+    ckpts = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-c", TRAIN_SCRIPT, str(dataset), str(out)],
+                       env=env, check=True, timeout=300)
+        ckpts.append((out / "last.ckpt").read_bytes())
+    assert ckpts[0] == ckpts[1]
