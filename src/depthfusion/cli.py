@@ -1,6 +1,6 @@
 """Command-line surface: dataset generation, training, prediction,
 evaluation, point-cloud projection, densification, gradient checks and the
-experiment/benchmark harness.
+registered experiments.
 
 Exit codes: 0 success, 1 validation error, 2 runtime failure. Errors go to
 stderr as one JSON object per failure.
@@ -59,17 +59,45 @@ def _parse_weather_mix(text):
     return mix
 
 
+def _true_or_false(text):
+    if text.lower() not in ("true", "false"):
+        raise ValueError("expected true or false")
+    return text.lower() == "true"
+
+
+# every key a train config file may set, with how its value is read
+_TRAIN_KEYS = {
+    "epochs": int, "batch_size": int, "lr0": float, "lr_decay_factor": float,
+    "lr_decay_every": int, "loss_kind": PixelLossKind, "w_ssim": float,
+    "w_edge": float, "w_pixel": float, "augment": _true_or_false,
+    "shuffle_seed": int, "augment_seed": int, "input_height": int,
+    "input_width": int, "base_channels": int, "encoder_stages": int,
+    "fusion_mode": FusionMode, "leaky_alpha": float, "h_reciprocal": float,
+    "d_min": float, "d_max": float, "model_seed": int,
+}
+
+
 def _load_config_file(path):
+    """The values of a train config file's ``key=value`` lines, read by
+    ``_TRAIN_KEYS``. A line without ``=``, an unknown key or a value that
+    does not parse is a ValidationError naming the path, the line and the
+    key; undecodable bytes are read as U+FFFD, so they get those messages
+    too."""
     kv = {}
-    with open(path, "r", encoding="utf-8") as f:
+    with open(path, "r", encoding="utf-8", errors="replace") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
                 raise ValidationError(f"{path}:{lineno}: expected key=value")
-            k, v = line.split("=", 1)
-            kv[k.strip()] = v.strip()
+            k, v = (part.strip() for part in line.split("=", 1))
+            if k not in _TRAIN_KEYS:
+                raise ValidationError(f"{path}:{lineno}: unknown key {k!r}")
+            try:
+                kv[k] = _TRAIN_KEYS[k](v)
+            except ValueError as exc:
+                raise ValidationError(f"{path}:{lineno}: {k}={v!r}: {exc}") from None
     return kv
 
 
@@ -89,38 +117,36 @@ def cmd_gen_data(args):
 def _train_configs(args):
     cfg_file = _load_config_file(args.config) if args.config else {}
 
-    def pick(key, flag_value, cast, default):
+    def pick(key, flag_value, default):
         if flag_value is not None:
             return flag_value
-        if key in cfg_file:
-            return cast(cfg_file[key])
-        return default
+        return cfg_file.get(key, default)
 
     tcfg = TrainConfig(
-        epochs=pick("epochs", args.epochs, int, 20),
-        batch_size=pick("batch_size", args.batch_size, int, 2),
-        lr0=pick("lr0", args.lr0, float, 1e-4),
-        lr_decay_factor=pick("lr_decay_factor", None, float, 0.2),
-        lr_decay_every=pick("lr_decay_every", None, int, 7),
-        loss_kind=PixelLossKind(pick("loss_kind", args.loss, str, "l1")),
+        epochs=pick("epochs", args.epochs, 20),
+        batch_size=pick("batch_size", args.batch_size, 2),
+        lr0=pick("lr0", args.lr0, 1e-4),
+        lr_decay_factor=pick("lr_decay_factor", None, 0.2),
+        lr_decay_every=pick("lr_decay_every", None, 7),
+        loss_kind=PixelLossKind(pick("loss_kind", args.loss, "l1")),
         loss_weights=LossWeights(
-            w_ssim=pick("w_ssim", None, float, 1.0),
-            w_edge=pick("w_edge", None, float, 1.0),
-            w_pixel=pick("w_pixel", None, float, 1.0)),
-        augment=pick("augment", None, lambda v: v.lower() == "true", True),
-        shuffle_seed=pick("shuffle_seed", args.seed, int, 0),
-        augment_seed=pick("augment_seed", None, int, 1))
+            w_ssim=pick("w_ssim", None, 1.0),
+            w_edge=pick("w_edge", None, 1.0),
+            w_pixel=pick("w_pixel", None, 1.0)),
+        augment=pick("augment", None, True),
+        shuffle_seed=pick("shuffle_seed", args.seed, 0),
+        augment_seed=pick("augment_seed", None, 1))
     mcfg = ModelConfig(
-        input_height=pick("input_height", args.height, int, 96),
-        input_width=pick("input_width", args.width, int, 160),
-        base_channels=pick("base_channels", None, int, 16),
-        encoder_stages=pick("encoder_stages", None, int, 4),
-        fusion_mode=FusionMode(pick("fusion_mode", args.fusion, str, "rgb")),
-        leaky_alpha=pick("leaky_alpha", None, float, 0.2),
-        h_reciprocal=pick("h_reciprocal", None, float, 10.0),
-        d_min=pick("d_min", None, float, 0.5),
-        d_max=pick("d_max", None, float, 80.0),
-        seed=pick("model_seed", args.seed, int, 0))
+        input_height=pick("input_height", args.height, 96),
+        input_width=pick("input_width", args.width, 160),
+        base_channels=pick("base_channels", None, 16),
+        encoder_stages=pick("encoder_stages", None, 4),
+        fusion_mode=FusionMode(pick("fusion_mode", args.fusion, "rgb")),
+        leaky_alpha=pick("leaky_alpha", None, 0.2),
+        h_reciprocal=pick("h_reciprocal", None, 10.0),
+        d_min=pick("d_min", None, 0.5),
+        d_max=pick("d_max", None, 80.0),
+        seed=pick("model_seed", args.seed, 0))
     return tcfg, mcfg
 
 
@@ -234,12 +260,6 @@ def cmd_repro(args):
     return 0 if ok else 2
 
 
-def cmd_bench(args):
-    report = E.bench_forward(n_frames=args.frames)
-    print(json.dumps(report, sort_keys=True))
-    return 0
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -314,10 +334,6 @@ def build_parser():
     rp.add_argument("--out", required=True)
     rp.add_argument("--seed", type=int, default=0)
     rp.set_defaults(fn=cmd_repro)
-
-    be = sub.add_parser("bench", help="time forward passes")
-    be.add_argument("--frames", type=int, default=20)
-    be.set_defaults(fn=cmd_bench)
     return p
 
 

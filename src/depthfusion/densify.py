@@ -9,6 +9,7 @@ the output obeys the maximum principle of convex combinations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -33,8 +34,9 @@ class DensifyConfig:
     solver: Solver = Solver.GAUSS_SEIDEL
 
     def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
+        if not 0 < self.tolerance < math.inf:
+            raise ValueError(f"tolerance must be positive and finite, "
+                             f"got {self.tolerance}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
 

@@ -1,4 +1,4 @@
-"""Desk-scale reproduction experiments and a small benchmark harness.
+"""Desk-scale reproduction experiments.
 
 Each registered experiment runs end to end (generate data, train, evaluate),
 checks its assertions, and writes a machine-readable report plus a text
@@ -154,17 +154,3 @@ def run_experiment(name, out_dir, seed=0):
                          f"registered: {sorted(EXPERIMENTS)}")
     return EXPERIMENTS[name](out_dir, seed=seed)
 
-
-def bench_forward(n_frames=20, config: ModelConfig | None = None):
-    """Mean seconds per forward pass (inference path, metric output)."""
-    cfg = config or ModelConfig()
-    model = build_model(cfg)
-    rng = np.random.default_rng(0)
-    rgb = rng.uniform(0, 1, size=(cfg.input_height, cfg.input_width, 3))
-    model.predict_depth(rgb, None)  # warm-up
-    t0 = time.time()
-    for _ in range(n_frames):
-        model.predict_depth(rgb, None)
-    per_frame = (time.time() - t0) / n_frames
-    return {"frames": n_frames, "seconds_per_frame": per_frame,
-            "input": f"{cfg.input_height}x{cfg.input_width}"}

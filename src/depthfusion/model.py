@@ -266,11 +266,12 @@ def save_checkpoint(path, model: Model, extra: dict | None = None,
 def load_checkpoint(path):
     """Returns (model, extra state dict, optimizer moment arrays).
 
-    Every malformation is a ValueError naming the tensor where there is
-    one: a bad header, a truncated file, trailing bytes, a tensor count
-    other than the header's, a name that is neither a weight of the
-    configured model nor an Adam moment (``adam.m.*``, ``adam.v.*``) of
-    one, a shape other than the config's, and a missing weight.
+    Every malformation is a ValueError naming the file, and the tensor
+    where there is one: a bad header, a config ``ModelConfig`` rejects, a
+    truncated file, trailing bytes, a tensor count other than the
+    header's, a name that is neither a weight of the configured model nor
+    an Adam moment (``adam.m.*``, ``adam.v.*``) of one, a shape other than
+    the config's, and a missing weight.
     """
     with open(path, "rb") as f:
         blob = f.read()
@@ -313,7 +314,7 @@ def load_checkpoint(path):
             raise ValueError(f"{path}: bad header line {line!r}") from None
     try:
         config = ModelConfig(**cfg_kv)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: bad config: {exc}") from None
     named = {}
     for k in range(n_tensors):

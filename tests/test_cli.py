@@ -5,7 +5,9 @@ import pytest
 
 from depthfusion import data as D
 from depthfusion import geometry as G
-from depthfusion.cli import depth_colormap, main
+from depthfusion.cli import _train_configs, build_parser, depth_colormap, main
+from depthfusion.losses import PixelLossKind
+from depthfusion.model import FusionMode
 
 
 @pytest.fixture(scope="module")
@@ -118,7 +120,17 @@ def test_malformed_inputs_exit_one(workspace, capsys):
     (bad / "short.txt").write_text("fx=10.0\nfy=10.0\ncx=5.0\n")
     (bad / "short.pgm").write_bytes((data / "000002_sparse.pgm").read_bytes()[:-7])
     (bad / "garbage.ppm").write_bytes(bytes(range(256)) * 4)
+    configs = {"epoch": "epochs=1\nepoch=5\n", "batchsize": "batchsize=7\n",
+               "augment": "augment=maybe\n", "epochs": "# run\nepochs=abc\n"}
+    for name, text in configs.items():
+        (bad / f"{name}.cfg").write_text(text)
+    (bad / "binary.cfg").write_bytes(b"\xff\xfeepochs=1\n")
     out = str(bad / "never.pgm")
+
+    def train(config):
+        return ["train", "--train-dir", data, "--out", bad / "run",
+                "--config", bad / config]
+
     cases = [
         (["project", "--cloud", bad / "garbage.csv", "--calibration",
           bad / "calib.txt", "--out", out], "garbage.csv:2: z='abc'"),
@@ -128,12 +140,35 @@ def test_malformed_inputs_exit_one(workspace, capsys):
           data / "000002_rgb.ppm", "--out", out], "truncated pixel data"),
         (["densify", "--sparse", data / "000002_sparse.pgm", "--guide",
           bad / "garbage.ppm", "--out", out], "garbage.ppm: bad magic"),
+        (["densify", "--sparse", data / "000002_sparse.pgm", "--guide",
+          data / "000002_rgb.ppm", "--out", out, "--tolerance", "nan"],
+         "tolerance must be positive and finite, got nan"),
+        (train("epoch.cfg"), "epoch.cfg:2: unknown key 'epoch'"),
+        (train("batchsize.cfg"), "batchsize.cfg:1: unknown key 'batchsize'"),
+        (train("augment.cfg"), "augment.cfg:1: augment='maybe': expected true or false"),
+        (train("epochs.cfg"), "epochs.cfg:2: epochs='abc': invalid literal"),
+        (train("binary.cfg"), "binary.cfg:1: unknown key"),
     ]
     for argv, message in cases:
         assert main([str(a) for a in argv]) == 1
         err = json.loads(capsys.readouterr().err.splitlines()[-1])
         assert err["code"] == 1 and message in err["error"]
     assert not (bad / "never.pgm").exists()
+    assert not (bad / "run").exists()
+
+
+def test_train_config_file_is_read_and_flags_override_it(tmp_path):
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("# comment\nepochs = 3\nbatch_size=4\naugment=False\n"
+                   "loss_kind=berhu\nw_edge=0.5\nfusion_mode=add\nmodel_seed=7\n")
+    args = build_parser().parse_args(["train", "--train-dir", "d", "--config",
+                                      str(cfg), "--epochs", "5"])
+    tcfg, mcfg = _train_configs(args)
+    assert (tcfg.epochs, tcfg.batch_size, tcfg.augment) == (5, 4, False)
+    assert tcfg.loss_kind is PixelLossKind.BERHU
+    assert tcfg.loss_weights.w_edge == 0.5 and tcfg.loss_weights.w_ssim == 1.0
+    assert mcfg.fusion_mode is FusionMode.ELEMENTWISE_ADD and mcfg.seed == 7
+    assert (mcfg.input_height, mcfg.input_width) == (96, 160)
 
 
 def test_runtime_failure_exits_two(workspace, capsys):

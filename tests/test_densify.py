@@ -157,8 +157,9 @@ def test_rejects_empty_sparse():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        DensifyConfig(tolerance=0.0)
+    for tolerance in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="tolerance"):
+            DensifyConfig(tolerance=tolerance)
     with pytest.raises(ValueError):
         DensifyConfig(max_iterations=0)
 

@@ -230,6 +230,23 @@ def test_checkpoint_rejects_bad_length(tmp_path):
             load_checkpoint(bad)
 
 
+def test_checkpoint_rejects_bad_config(tmp_path):
+    blob = _saved(tmp_path, build_model(TINY)).read_bytes()
+    bad = tmp_path / "bad.ckpt"
+    cases = [
+        (b"config.fusion_mode='concat'", b"config.fusion_mode='zzz'",
+         "'zzz' is not a valid FusionMode"),
+        (b"config.input_height=16", b"config.input_height=18",
+         "input 18x16 not divisible by 2^2"),
+    ]
+    for good, wrong, message in cases:
+        assert good in blob
+        bad.write_bytes(blob.replace(good, wrong))
+        with pytest.raises(ValueError) as info:
+            load_checkpoint(bad)
+        assert str(info.value) == f"{bad}: bad config: {message}"
+
+
 def test_checkpoint_write_failing_part_way_keeps_previous_file(tmp_path):
     model = build_model(TINY)
     path = _saved(tmp_path, model, extra={"epoch": 1})
