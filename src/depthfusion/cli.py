@@ -2,8 +2,9 @@
 evaluation, point-cloud projection, densification, gradient checks and the
 registered experiments.
 
-Exit codes: 0 success, 1 validation error, 2 runtime failure. Errors go to
-stderr as one JSON object per failure.
+Exit codes: 0 success, 1 validation error (a missing or unreadable input
+included), 2 runtime failure. Errors go to stderr as one JSON object per
+failure.
 """
 
 from __future__ import annotations
@@ -337,10 +338,32 @@ def build_parser():
     return p
 
 
+# the arguments that name input files and input directories
+_INPUT_FILES = ("checkpoint", "rgb", "sparse", "guide", "cloud", "calibration",
+                "config", "resume")
+_INPUT_DIRS = ("train_dir", "val_dir", "split_dir")
+
+
+def _check_inputs(args):
+    """A missing or unreadable input is a ValidationError naming its path."""
+    for name in _INPUT_FILES + _INPUT_DIRS:
+        path = getattr(args, name, None)
+        if path is None:
+            continue
+        try:
+            if name in _INPUT_DIRS:
+                os.listdir(path)
+            else:
+                open(path, "rb").close()
+        except OSError as exc:
+            raise ValidationError(f"{path}: cannot read: {exc.strerror}") from None
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_inputs(args)
         return args.fn(args)
     except (ValidationError, ValueError) as exc:
         return _fail(1, str(exc))

@@ -8,6 +8,7 @@ on normalized reciprocal-depth maps in [0, 1]; evaluation in meters lives in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -30,8 +31,10 @@ class LossWeights:
     w_pixel: float = 1.0
 
     def __post_init__(self):
-        if self.w_ssim < 0 or self.w_edge < 0 or self.w_pixel < 0:
-            raise ValueError("loss weights must be non-negative")
+        for name in ("w_ssim", "w_edge", "w_pixel"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be non-negative and finite, got {value}")
         if self.w_ssim == 0 and self.w_edge == 0 and self.w_pixel == 0:
             raise ValueError("at least one loss weight must be positive")
 

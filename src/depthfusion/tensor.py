@@ -13,6 +13,8 @@ import contextlib
 
 import numpy as np
 
+from .blas import gemm
+
 __all__ = [
     "Tensor",
     "ShapeError",
@@ -378,8 +380,12 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor,
     multiplies the view starting at column i*Wp + j; outputs are computed
     on the padded grid and cropped. For stride s the padded image is first
     split into s x s phase images (space-to-depth): tap (i, j) then reads
-    phase (i % s, j % s) at offset (i//s, j//s). The backward pass keeps
-    only the padded input.
+    phase (i % s, j % s) at offset (i//s, j//s). The taps accumulate inside
+    BLAS: the first tap's GEMM writes the output and the others add into it
+    (beta = 1), with no temporary (``blas.gemm``; numpy's matmul plus +=
+    where the loaded BLAS has no cblas ?gemm, and for a one-channel
+    output, whose product numpy computes with ?gemv). The backward pass
+    keeps only the padded input.
     """
     if len(x.shape) != 4 or len(kernel.shape) != 4:
         raise ShapeError(
@@ -426,12 +432,8 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor,
 
     # one GEMM per tap on shifted views, which BLAS reads in place
     y = np.empty((cout, m), dtype=dt)  # columns from `cols` on are never read
-    acc = y[:, :cols]
-    tmp = np.empty_like(acc)
     for t, (blk, o) in enumerate(taps):
-        np.matmul(kt[t], xf[blk, :, o:o + cols], out=tmp if t else acc)
-        if t:
-            acc += tmp
+        gemm(kt[t], xf[blk, :, o:o + cols], y[:, :cols], accumulate=t > 0)
     data = np.empty((n, cout, ho, wo), dtype=dt)
     np.add(y.reshape(cout, n, hs, ws)[:, :, :ho, :wo].transpose(1, 0, 2, 3),
            bias.data.reshape(1, cout, 1, 1), out=data)

@@ -20,12 +20,14 @@ import copy
 import ctypes
 import functools
 import json
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import blas
 from . import data as D
 from . import metrics as M
 from . import tensor as T
@@ -68,8 +70,12 @@ class TrainConfig:
             self.loss_kind = PixelLossKind(self.loss_kind)
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.lr0 <= 0:
-            raise ValueError(f"lr0 must be positive, got {self.lr0}")
+        for name in ("lr0", "lr_decay_factor"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        if self.lr_decay_every < 1:
+            raise ValueError(f"lr_decay_every must be >= 1, got {self.lr_decay_every}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
 
@@ -132,33 +138,6 @@ def batch_to_tensors(samples, model: Model):
             Tensor(target))
 
 
-@functools.cache
-def _blas_threads():
-    """The (get, set) thread-count functions of the OpenBLAS that numpy
-    loaded, found in /proc/self/maps, or None when there is none."""
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as f:
-            libs = sorted({line.split()[-1] for line in f
-                           if "openblas" in line.lower() and ".so" in line})
-    except OSError:
-        return None
-    for lib in libs:
-        try:
-            dll = ctypes.CDLL(lib)
-        except OSError:
-            continue
-        # the names in numpy 2 wheels, numpy 1 wheels and a system OpenBLAS
-        for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "64_"),
-                               ("openblas_", "")):
-            get = getattr(dll, f"{prefix}get_num_threads{suffix}", None)
-            put = getattr(dll, f"{prefix}set_num_threads{suffix}", None)
-            if get is not None and put is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                put.argtypes, put.restype = [ctypes.c_int], None
-                return get, put
-    return None
-
-
 # glibc's mallopt parameters and the values _keep_freed_memory sets
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
@@ -211,7 +190,7 @@ def _per_sample(n_samples: int):
     (``_keep_freed_memory``), for this and every later step.
     """
     _keep_freed_memory()
-    control = _blas_threads()
+    control = blas.threads()
     if control is None:
         yield lambda fn: list(map(fn, range(n_samples)))
         return

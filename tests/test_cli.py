@@ -121,7 +121,9 @@ def test_malformed_inputs_exit_one(workspace, capsys):
     (bad / "short.pgm").write_bytes((data / "000002_sparse.pgm").read_bytes()[:-7])
     (bad / "garbage.ppm").write_bytes(bytes(range(256)) * 4)
     configs = {"epoch": "epochs=1\nepoch=5\n", "batchsize": "batchsize=7\n",
-               "augment": "augment=maybe\n", "epochs": "# run\nepochs=abc\n"}
+               "augment": "augment=maybe\n", "epochs": "# run\nepochs=abc\n",
+               "lr0": "lr0=nan\n", "decay": "lr_decay_factor=inf\n",
+               "w_edge": "w_edge=NaN\n", "w_pixel": "w_pixel=inf\n"}
     for name, text in configs.items():
         (bad / f"{name}.cfg").write_text(text)
     (bad / "binary.cfg").write_bytes(b"\xff\xfeepochs=1\n")
@@ -148,6 +150,10 @@ def test_malformed_inputs_exit_one(workspace, capsys):
         (train("augment.cfg"), "augment.cfg:1: augment='maybe': expected true or false"),
         (train("epochs.cfg"), "epochs.cfg:2: epochs='abc': invalid literal"),
         (train("binary.cfg"), "binary.cfg:1: unknown key"),
+        (train("lr0.cfg"), "lr0 must be positive and finite, got nan"),
+        (train("decay.cfg"), "lr_decay_factor must be positive and finite, got inf"),
+        (train("w_edge.cfg"), "w_edge must be non-negative and finite, got nan"),
+        (train("w_pixel.cfg"), "w_pixel must be non-negative and finite, got inf"),
     ]
     for argv, message in cases:
         assert main([str(a) for a in argv]) == 1
@@ -172,12 +178,47 @@ def test_train_config_file_is_read_and_flags_override_it(tmp_path):
 
 
 def test_runtime_failure_exits_two(workspace, capsys):
-    code = main(["predict", "--checkpoint", "/does/not/exist.ckpt",
-                 "--rgb", str(workspace["data"] / "000000_rgb.ppm"),
-                 "--out", str(workspace["root"] / "never.pgm")])
+    # the inputs are sound, but the output cannot be written: its parent
+    # is a regular file
+    data = workspace["data"]
+    code = main(["predict", "--checkpoint", str(workspace["ckpt"]),
+                 "--rgb", str(data / "000000_rgb.ppm"),
+                 "--sparse", str(data / "000000_sparse.pgm"),
+                 "--out", str(data / "000000_rgb.ppm" / "never.pgm")])
     assert code == 2
     err = json.loads(capsys.readouterr().err.splitlines()[-1])
     assert err["code"] == 2
+
+
+def test_missing_input_exits_one_naming_the_path(workspace, capsys):
+    root, data, ckpt = workspace["root"], workspace["data"], workspace["ckpt"]
+    missing = root / "missing"
+    rgb, sparse = data / "000000_rgb.ppm", data / "000000_sparse.pgm"
+    eval_out, pgm_out = ["--out", root / "never"], ["--out", root / "never.pgm"]
+    # (arguments, the input they cannot read)
+    cases = [
+        (["eval", "--checkpoint", missing / "model.ckpt", "--split-dir", data]
+         + eval_out, missing / "model.ckpt"),
+        (["eval", "--checkpoint", ckpt, "--split-dir", missing] + eval_out, missing),
+        (["predict", "--checkpoint", ckpt, "--rgb", missing / "rgb.ppm",
+          "--sparse", sparse] + pgm_out, missing / "rgb.ppm"),
+        (["predict", "--checkpoint", ckpt, "--rgb", rgb, "--sparse", data]
+         + pgm_out, data),
+        (["densify", "--sparse", sparse, "--guide", missing / "guide.ppm"]
+         + pgm_out, missing / "guide.ppm"),
+        (["project", "--cloud", missing / "cloud.csv", "--calibration", rgb]
+         + pgm_out, missing / "cloud.csv"),
+        (["train", "--train-dir", data, "--config", missing / "train.cfg"]
+         + eval_out, missing / "train.cfg"),
+        (["train", "--train-dir", data, "--resume", missing / "last.ckpt"]
+         + eval_out, missing / "last.ckpt"),
+        (["train", "--train-dir", missing] + eval_out, missing),
+    ]
+    for argv, path in cases:
+        assert main([str(a) for a in argv]) == 1, argv
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err["code"] == 1 and err["error"].startswith(f"{path}: cannot read: ")
+    assert not (root / "never").exists() and not (root / "never.pgm").exists()
 
 
 def test_truncated_checkpoint_exits_one(workspace, capsys):

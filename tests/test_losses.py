@@ -132,6 +132,10 @@ def test_loss_weights_validation():
         LossWeights(w_ssim=-1.0)
     with pytest.raises(ValueError):
         LossWeights(w_ssim=0.0, w_edge=0.0, w_pixel=0.0)
+    for name in ("w_ssim", "w_edge", "w_pixel"):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=name):
+                LossWeights(**{name: value})
 
 
 def test_codec_round_trip():

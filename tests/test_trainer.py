@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from depthfusion import blas
 from depthfusion import data as D
 from depthfusion import tensor as T
 from depthfusion import trainer
@@ -47,6 +48,12 @@ def test_train_config_validation():
         TrainConfig(lr0=-1.0)
     with pytest.raises(ValueError):
         TrainConfig(batch_size=0)
+    for name in ("lr0", "lr_decay_factor"):
+        for value in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=name):
+                TrainConfig(**{name: value})
+    with pytest.raises(ValueError, match="lr_decay_every"):
+        TrainConfig(lr_decay_every=0)
 
 
 def test_adam_first_step_is_signed_lr():
@@ -164,7 +171,7 @@ def test_adam_steps_are_byte_identical_to_the_textbook_form():
 
 
 needs_blas_control = pytest.mark.skipif(
-    trainer._blas_threads() is None,
+    blas.threads() is None,
     reason="no OpenBLAS thread-count control found in this process")
 
 
@@ -214,7 +221,7 @@ def test_weights_do_not_depend_on_worker_count(dataset, monkeypatch):
 
 @needs_blas_control
 def test_blas_threads_are_one_inside_the_step_and_restored(dataset, monkeypatch):
-    get, put = trainer._blas_threads()
+    get, put = blas.threads()
     original = get()
     inside = []
 
@@ -250,18 +257,50 @@ train(TrainConfig(epochs=1, batch_size=2),
 """
 
 
+def _run_at_blas_threads(threads, script, *args):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(trainer.__file__)))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-c", script, *map(str, args)],
+                   env=env, check=True, timeout=300)
+
+
 @needs_blas_control
 def test_checkpoints_do_not_depend_on_blas_thread_count(dataset, tmp_path):
-    src = os.path.dirname(os.path.dirname(os.path.abspath(trainer.__file__)))
     ckpts = []
     for threads in ("1", "2"):
         out = tmp_path / f"threads{threads}"
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        subprocess.run([sys.executable, "-c", TRAIN_SCRIPT, str(dataset), str(out)],
-                       env=env, check=True, timeout=300)
+        _run_at_blas_threads(threads, TRAIN_SCRIPT, dataset, out)
         ckpts.append((out / "last.ckpt").read_bytes())
     assert ckpts[0] == ckpts[1]
+
+
+VALIDATED_SCRIPT = """
+import sys
+from depthfusion.model import FusionMode, ModelConfig
+from depthfusion.trainer import TrainConfig, train
+train(TrainConfig(epochs=1, batch_size=2),
+      ModelConfig(input_height=64, input_width=96, base_channels=8,
+                  encoder_stages=2, fusion_mode=FusionMode.CONCAT_TRUNCATE),
+      sys.argv[1], val_dir=sys.argv[2], out_dir=sys.argv[3])
+"""
+
+
+@needs_blas_control
+def test_validation_log_does_not_depend_on_blas_thread_count(tmp_path):
+    # validation runs predict_depth with the caller's BLAS threads; at this
+    # size its GEMMs are large enough for OpenBLAS to split over two threads
+    spec = D.SceneSpec(width=96, height=64)
+    D.generate_dataset(tmp_path / "train", 2, {"day": 1.0}, seed=3, spec=spec)
+    D.generate_dataset(tmp_path / "val", 2, {"fog": 1.0}, seed=4, spec=spec)
+    logs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        _run_at_blas_threads(threads, VALIDATED_SCRIPT, tmp_path / "train",
+                             tmp_path / "val", out)
+        logs.append((out / "log.jsonl").read_bytes())
+    assert b'"val"' in logs[0]
+    assert logs[0] == logs[1]
 
 
 def test_warm_train_steps_keep_freed_memory():
