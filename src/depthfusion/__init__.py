@@ -1,6 +1,6 @@
 """depthfusion: sparse radar + RGB depth completion on a numpy autodiff core."""
 
-from .densify import DensifyConfig, DensifyResult, Solver, densify
+from .densify import DensifyConfig, DensifyResult, densify
 from .geometry import (CameraIntrinsics, PointCloud, RigidPose, backproject,
                        project_points)
 from .losses import LossWeights, PixelLossKind, ReciprocalCodec, loss_total
@@ -16,7 +16,7 @@ __all__ = [
     "CameraIntrinsics", "DensifyConfig", "DensifyResult", "Divisor",
     "FusionMode", "LossWeights", "MetricsReport", "Model", "ModelConfig",
     "OptimState", "PixelLossKind", "PointCloud", "ReciprocalCodec",
-    "RigidPose", "ShapeError", "Solver", "Tensor", "TrainConfig",
+    "RigidPose", "ShapeError", "Tensor", "TrainConfig",
     "backproject", "build_model", "compute_metrics", "densify",
     "load_checkpoint", "loss_total", "project_points", "save_checkpoint",
     "train", "__version__",

@@ -20,7 +20,7 @@ from . import data as D
 from . import experiments as E
 from . import geometry as G
 from . import metrics as M
-from .densify import DensifyConfig, Solver, densify
+from .densify import DensifyConfig, densify
 from .gradcheck import run_suite
 from .losses import LossWeights, PixelLossKind
 from .model import FusionMode, ModelConfig, load_checkpoint
@@ -73,32 +73,23 @@ _TRAIN_KEYS = {
     "w_edge": float, "w_pixel": float, "augment": _true_or_false,
     "shuffle_seed": int, "augment_seed": int, "input_height": int,
     "input_width": int, "base_channels": int, "encoder_stages": int,
-    "fusion_mode": FusionMode, "leaky_alpha": float, "h_reciprocal": float,
-    "d_min": float, "d_max": float, "model_seed": int,
+    "fusion_mode": FusionMode, "leaky_alpha": float, "d_min": float,
+    "d_max": float, "model_seed": int,
 }
 
 
 def _load_config_file(path):
     """The values of a train config file's ``key=value`` lines, read by
-    ``_TRAIN_KEYS``. A line without ``=``, an unknown key or a value that
-    does not parse is a ValidationError naming the path, the line and the
-    key; undecodable bytes are read as U+FFFD, so they get those messages
-    too."""
+    ``_TRAIN_KEYS``. An unknown key or a value that does not parse is a
+    ValidationError naming the path, the line and the key."""
     kv = {}
-    with open(path, "r", encoding="utf-8", errors="replace") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValidationError(f"{path}:{lineno}: expected key=value")
-            k, v = (part.strip() for part in line.split("=", 1))
-            if k not in _TRAIN_KEYS:
-                raise ValidationError(f"{path}:{lineno}: unknown key {k!r}")
-            try:
-                kv[k] = _TRAIN_KEYS[k](v)
-            except ValueError as exc:
-                raise ValidationError(f"{path}:{lineno}: {k}={v!r}: {exc}") from None
+    for lineno, k, v in G.read_key_values(path):
+        if k not in _TRAIN_KEYS:
+            raise ValidationError(f"{path}:{lineno}: unknown key {k!r}")
+        try:
+            kv[k] = _TRAIN_KEYS[k](v)
+        except ValueError as exc:
+            raise ValidationError(f"{path}:{lineno}: {k}={v!r}: {exc}") from None
     return kv
 
 
@@ -144,7 +135,6 @@ def _train_configs(args):
         encoder_stages=pick("encoder_stages", None, 4),
         fusion_mode=FusionMode(pick("fusion_mode", args.fusion, "rgb")),
         leaky_alpha=pick("leaky_alpha", None, 0.2),
-        h_reciprocal=pick("h_reciprocal", None, 10.0),
         d_min=pick("d_min", None, 0.5),
         d_max=pick("d_max", None, 80.0),
         seed=pick("model_seed", args.seed, 0))
@@ -188,22 +178,16 @@ def cmd_eval(args):
     ids = D.list_sample_ids(args.split_dir)
     if not ids:
         raise ValidationError(f"split directory {args.split_dir} is empty")
-    reports = {}
-    skipped = 0
+    evaluable = []
     for sample_id in ids:
-        paths = D.sample_paths(args.split_dir, sample_id)
-        if not os.path.exists(paths["gt"]):
+        if os.path.exists(D.sample_paths(args.split_dir, sample_id)["gt"]):
+            evaluable.append(sample_id)
+        else:
             sys.stderr.write(json.dumps(
                 {"warning": f"sample {sample_id} has no groundtruth; skipped"})
                 + "\n")
-            skipped += 1
-            continue
-        s = D.load_sample(args.split_dir, sample_id)
-        sparse = (None if model.config.fusion_mode is FusionMode.RGB_ONLY
-                  else s.sparse)
-        depth = model.predict_depth(s.rgb, sparse)
-        gt = np.clip(s.gt, model.config.d_min, model.config.d_max)
-        reports[sample_id] = M.compute_metrics(depth, gt, divisor=divisor)
+    samples = (D.load_sample(args.split_dir, i) for i in evaluable)
+    reports = dict(zip(evaluable, M.evaluate(model, samples, divisor)))
     if not reports:
         raise ValidationError("no evaluable samples in split")
     agg = M.mean_report(list(reports.values()))
@@ -211,7 +195,7 @@ def cmd_eval(args):
     M.write_reports(reports, os.path.join(args.out, "per_sample.jsonl"),
                     os.path.join(args.out, "summary.csv"))
     summary = agg.as_dict()
-    summary["skipped_samples"] = skipped
+    summary["skipped_samples"] = len(ids) - len(evaluable)
     with open(os.path.join(args.out, "aggregate.json"), "w",
               encoding="utf-8") as f:
         json.dump(summary, f, indent=2, sort_keys=True)
@@ -232,9 +216,8 @@ def cmd_project(args):
 def cmd_densify(args):
     sparse = D.load_depth_pgm(args.sparse)
     guide = D.load_ppm(args.guide)
-    cfg = DensifyConfig(
-        solver=Solver(args.solver),
-        tolerance=args.tolerance, max_iterations=args.max_iterations)
+    cfg = DensifyConfig(tolerance=args.tolerance,
+                        max_iterations=args.max_iterations)
     result = densify(sparse, guide, cfg)
     D.save_depth_pgm(result.depth, args.out)
     status = "converged" if result.converged else "NOT converged"
@@ -320,8 +303,6 @@ def build_parser():
     dn.add_argument("--sparse", required=True)
     dn.add_argument("--guide", required=True)
     dn.add_argument("--out", required=True)
-    dn.add_argument("--solver", choices=[s.value for s in Solver],
-                    default="gauss-seidel")
     dn.add_argument("--tolerance", type=float, default=1e-6)
     dn.add_argument("--max-iterations", type=int, default=5000)
     dn.set_defaults(fn=cmd_densify)

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .geometry import CameraIntrinsics, PointCloud, RigidPose, project_points
+from .geometry import (CameraIntrinsics, PointCloud, RigidPose, _number,
+                       project_points, read_key_values)
 
 WEATHERS = ("day", "night", "fog", "rain", "cloudy")
 DEPTH_SCALE = 256.0  # stored uint16 = meters * 256
@@ -348,20 +349,18 @@ def save_sample(sample: Sample, directory):
 
 
 def load_sample(directory, sample_id) -> Sample:
+    """A malformed ``_meta.txt`` line, or a seed that is not an integer, is
+    a ValueError naming the file and the line."""
     paths = sample_paths(directory, sample_id)
     meta = {}
-    with open(paths["meta"], "r", encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if line:
-                k, v = line.split("=", 1)
-                meta[k] = v
+    for lineno, k, v in read_key_values(paths["meta"]):
+        meta[k] = _number(v, paths["meta"], lineno, k, int) if k == "seed" else v
     return Sample(rgb=load_ppm(paths["rgb"]),
                   sparse=load_depth_pgm(paths["sparse"]),
                   gt=load_depth_pgm(paths["gt"]),
                   sample_id=meta.get("id", sample_id),
                   weather=meta.get("weather", "day"),
-                  seed=int(meta.get("seed", "0")))
+                  seed=meta.get("seed", 0))
 
 
 def list_sample_ids(directory):

@@ -2,16 +2,16 @@
 
 Every unknown pixel is constrained to the affinity-weighted average of its
 8-connected neighbors, with measured pixels held fixed; the resulting linear
-system is solved iteratively (Gauss-Seidel in red-black order, or conjugate
-gradient on the normal equations). Known pixels pass through unchanged and
-the output obeys the maximum principle of convex combinations.
+system is solved by Gauss-Seidel sweeps in red-black order. Known pixels
+pass through unchanged, and since every sweep replaces an unknown by a
+convex combination of its neighbors, the output obeys the maximum
+principle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -21,17 +21,11 @@ OFFSETS = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
 GRAY_WEIGHTS = (0.299, 0.587, 0.114)
 
 
-class Solver(Enum):
-    GAUSS_SEIDEL = "gauss-seidel"
-    CONJUGATE_GRADIENT = "conjugate-gradient"
-
-
 @dataclass
 class DensifyConfig:
     sigma_min: float = 1e-4
     max_iterations: int = 5000
     tolerance: float = 1e-6
-    solver: Solver = Solver.GAUSS_SEIDEL
 
     def __post_init__(self):
         if not 0 < self.tolerance < math.inf:
@@ -110,85 +104,6 @@ def _neighbor_sum(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _neighbor_sum_t(weights: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """(W^T y)(p) = sum_q w_q->p * y(q)."""
-    out = np.zeros_like(y)
-    for k, (dy, dx) in enumerate(OFFSETS):
-        out += _shift(weights[k] * y, -dy, -dx)
-    return out
-
-
-def _solve_gauss_seidel(weights, known, values, config):
-    unknown = ~known
-    f = np.where(known, values, values[known].mean())
-    b = _neighbor_sum(weights, np.where(known, values, 0.0))
-    bnorm = max(np.linalg.norm(b[unknown]), 1e-300)
-    yy, xx = np.meshgrid(np.arange(f.shape[0]), np.arange(f.shape[1]), indexing="ij")
-    red = unknown & ((yy + xx) % 2 == 0)
-    black = unknown & ((yy + xx) % 2 == 1)
-    residual = np.inf
-    for it in range(1, config.max_iterations + 1):
-        for mask in (red, black):
-            s = _neighbor_sum(weights, f)
-            f[mask] = s[mask]
-        ru = (f - _neighbor_sum(weights, f))[unknown]
-        # an elementwise sum, not np.linalg.norm: that is a BLAS call, and
-        # each one wakes a multi-threaded BLAS whose idle threads then spin
-        residual = np.sqrt((ru * ru).sum()) / bnorm
-        if residual <= config.tolerance:
-            return f, True, it, residual
-    return f, False, config.max_iterations, residual
-
-
-def _solve_cg_normal(weights, known, values, config):
-    unknown = ~known
-    k_img = np.where(known, values, 0.0)
-    b = _neighbor_sum(weights, k_img)[unknown]
-
-    def embed(x):
-        img = np.zeros_like(values)
-        img[unknown] = x
-        return img
-
-    def apply_a(x):
-        img = embed(x)
-        return x - _neighbor_sum(weights, img)[unknown]
-
-    def apply_at(y):
-        img = embed(y)
-        return y - _neighbor_sum_t(weights, img)[unknown]
-
-    bnorm = max(np.linalg.norm(b), 1e-300)
-    x = np.full(b.shape, values[known].mean())
-    r = b - apply_a(x)
-    z = apply_at(r)
-    p = z.copy()
-    zz = z @ z
-    residual = np.linalg.norm(r) / bnorm
-    converged = residual <= config.tolerance
-    it = 0
-    while not converged and it < config.max_iterations:
-        it += 1
-        ap = apply_a(p)
-        denom = ap @ ap
-        if denom <= 0:
-            break
-        alpha = zz / denom
-        x += alpha * p
-        r -= alpha * ap
-        residual = np.linalg.norm(r) / bnorm
-        if residual <= config.tolerance:
-            converged = True
-            break
-        z = apply_at(r)
-        zz_new = z @ z
-        p = z + (zz_new / zz) * p
-        zz = zz_new
-    f = np.where(known, values, 0.0)
-    f[unknown] = x
-    return f, converged, it, residual
-
-
 def densify(sparse: np.ndarray, guide: np.ndarray,
             config: DensifyConfig | None = None) -> DensifyResult:
     """Fill every zero pixel of a sparse depth raster guided by an RGB image.
@@ -209,9 +124,21 @@ def densify(sparse: np.ndarray, guide: np.ndarray,
     if known.all():
         return DensifyResult(sparse.copy(), True, 0, 0.0)
     weights = build_weights(gray, config)
-    if config.solver is Solver.GAUSS_SEIDEL:
-        f, ok, it, res = _solve_gauss_seidel(weights, known, sparse, config)
-    else:
-        f, ok, it, res = _solve_cg_normal(weights, known, sparse, config)
-    f[known] = sparse[known]
-    return DensifyResult(f, ok, it, res)
+    unknown = ~known
+    f = np.where(known, sparse, sparse[known].mean())
+    b = _neighbor_sum(weights, np.where(known, sparse, 0.0))
+    bnorm = max(np.linalg.norm(b[unknown]), 1e-300)
+    yy, xx = np.meshgrid(np.arange(f.shape[0]), np.arange(f.shape[1]), indexing="ij")
+    red = unknown & ((yy + xx) % 2 == 0)
+    black = unknown & ((yy + xx) % 2 == 1)
+    for it in range(1, config.max_iterations + 1):
+        for mask in (red, black):
+            s = _neighbor_sum(weights, f)
+            f[mask] = s[mask]
+        ru = (f - _neighbor_sum(weights, f))[unknown]
+        # an elementwise sum, not np.linalg.norm: that is a BLAS call, and
+        # each one wakes a multi-threaded BLAS whose idle threads then spin
+        residual = np.sqrt((ru * ru).sum()) / bnorm
+        if residual <= config.tolerance:
+            return DensifyResult(f, True, it, residual)
+    return DensifyResult(f, False, config.max_iterations, residual)

@@ -57,12 +57,7 @@ def run_overfit4(out_dir, seed=0):
     initial = float(np.mean(losses[:2]))
     final = float(np.mean(losses[-2:]))
 
-    reports = []
-    for s in samples:
-        depth = model.predict_depth(s.rgb, s.sparse)
-        reports.append(M.compute_metrics(
-            depth, np.clip(s.gt, cfg.d_min, cfg.d_max)))
-    delta1 = float(np.mean([r.delta1 for r in reports]))
+    delta1 = float(np.mean([r.delta1 for r in M.evaluate(model, samples)]))
 
     os.makedirs(out_dir, exist_ok=True)
     save_checkpoint(os.path.join(out_dir, "overfit4.ckpt"), model,

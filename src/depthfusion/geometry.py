@@ -138,6 +138,23 @@ def _number(text, path, lineno, key, kind=float):
     return value
 
 
+def read_key_values(path):
+    """Yields ``(line number, key, value)`` for each ``key=value`` line of a
+    text file, key and value stripped. Blank lines and ``#`` comments are
+    skipped; a line without ``=`` is a ValueError naming the file and the
+    line. Undecodable bytes are read as U+FFFD, so they reach the caller's
+    checks of keys and values."""
+    with open(path, "r", encoding="utf-8", errors="replace") as f:
+        for lineno, line in enumerate(f, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
+            k, v = line.split("=", 1)
+            yield lineno, k.strip(), v.strip()
+
+
 def load_cloud_csv(path) -> PointCloud:
     with open(path, "r", encoding="utf-8", errors="replace") as f:
         header = f.readline().strip()
@@ -184,16 +201,7 @@ def load_calibration(path):
     writes. A missing key, a value that is not a number and an invalid
     camera or pose are ValueErrors naming the file, and the line and key
     where there is one."""
-    kv = {}  # key -> (value, line number)
-    with open(path, "r", encoding="utf-8", errors="replace") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            k, v = line.split("=", 1)
-            kv[k.strip()] = (v.strip(), lineno)
+    kv = {k: (v, lineno) for lineno, k, v in read_key_values(path)}
 
     def get(key, kind=float):
         if key not in kv:

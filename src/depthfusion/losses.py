@@ -44,19 +44,16 @@ class ReciprocalCodec:
     """Maps metric depth to a bounded reciprocal training target.
 
     encode: t = d_min / d  (d clamped to [d_min, d_max] first), so t = 1 at
-    d_min and t = d_min/d_max at d_max. decode inverts: d = d_min / t. The
-    reciprocal scale hyperparameter h cancels under the normalization but is
-    kept as configuration so it can be surfaced alongside d_min/d_max.
+    d_min and t = d_min/d_max at d_max. decode inverts: d = d_min / t.
     """
 
-    h: float = 10.0
     d_min: float = 0.5
     d_max: float = 80.0
 
     def __post_init__(self):
-        if self.h <= 0 or self.d_min <= 0 or self.d_max <= self.d_min:
-            raise ValueError(f"bad codec parameters h={self.h}, "
-                             f"d_min={self.d_min}, d_max={self.d_max}")
+        if self.d_min <= 0 or self.d_max <= self.d_min:
+            raise ValueError(f"bad codec parameters d_min={self.d_min}, "
+                             f"d_max={self.d_max}")
 
     def encode(self, depth: np.ndarray) -> np.ndarray:
         d = np.clip(depth, self.d_min, self.d_max)

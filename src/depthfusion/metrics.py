@@ -70,37 +70,18 @@ def compute_metrics(pred: np.ndarray, gt: np.ndarray,
                          divisor_convention=divisor.value)
 
 
-def bilinear_resize(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Bilinear resize with half-pixel centers (align_corners=False), edge clamped."""
-    img = np.asarray(image, dtype=np.float64)
-    h, w = img.shape
-    if (h, w) == (out_h, out_w):
-        return img.copy()
+def evaluate(model, samples,
+             divisor: Divisor = Divisor.GROUNDTRUTH) -> list[MetricsReport]:
+    """One report per sample: the model's depth against the groundtruth
+    clipped to the model's [d_min, d_max].
 
-    def axis_coords(n_in, n_out):
-        src = (np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5
-        i0 = np.floor(src).astype(np.int64)
-        frac = src - i0
-        i0c = np.clip(i0, 0, n_in - 1)
-        i1c = np.clip(i0 + 1, 0, n_in - 1)
-        return i0c, i1c, frac
-
-    y0, y1, fy = axis_coords(h, out_h)
-    x0, x1, fx = axis_coords(w, out_w)
-    fy = fy[:, None]
-    fx = fx[None, :]
-    top = img[np.ix_(y0, x0)] * (1 - fx) + img[np.ix_(y0, x1)] * fx
-    bot = img[np.ix_(y1, x0)] * (1 - fx) + img[np.ix_(y1, x1)] * fx
-    return top * (1 - fy) + bot * fy
-
-
-def evaluate_with_resize(pred_lowres: np.ndarray, gt_fullres: np.ndarray,
-                         mask: np.ndarray | None = None,
-                         divisor: Divisor = Divisor.GROUNDTRUTH) -> MetricsReport:
-    """Upscale a low-resolution prediction to the groundtruth grid, then evaluate."""
-    gt = np.asarray(gt_fullres, dtype=np.float64)
-    resized = bilinear_resize(pred_lowres, gt.shape[0], gt.shape[1])
-    return compute_metrics(resized, gt, mask, divisor)
+    ``samples`` is consumed lazily, so a generator that loads each frame
+    has it predicted and scored before the next one loads.
+    """
+    cfg = model.config
+    return [compute_metrics(model.predict_depth(s.rgb, s.sparse),
+                            np.clip(s.gt, cfg.d_min, cfg.d_max), divisor=divisor)
+            for s in samples]
 
 
 def reference_metrics(pred, gt, mask=None,

@@ -42,7 +42,6 @@ class ModelConfig:
     encoder_stages: int = 4
     fusion_mode: FusionMode = FusionMode.RGB_ONLY
     leaky_alpha: float = 0.2
-    h_reciprocal: float = 10.0
     d_min: float = 0.5
     d_max: float = 80.0
     seed: int = 0
@@ -59,8 +58,7 @@ class ModelConfig:
             raise ValueError("encoder_stages and base_channels must be >= 1")
 
     def codec(self) -> ReciprocalCodec:
-        return ReciprocalCodec(h=self.h_reciprocal, d_min=self.d_min,
-                               d_max=self.d_max)
+        return ReciprocalCodec(d_min=self.d_min, d_max=self.d_max)
 
 
 def _he_conv(rng, cout, cin, kh, kw, dtype):
@@ -112,16 +110,6 @@ class Model:
         # zero: with zero bias the sigmoid sits at 0.5 while most targets are
         # far below it, and low-step overfitting stalls
         self._add("head.bias", np.full(1, -2.5, dtype=dt))
-
-    def encoder_feature_shapes(self):
-        """(channels, height, width) after each downsampling stage."""
-        cfg = self.config
-        shapes = []
-        h, w = cfg.input_height, cfg.input_width
-        for s in range(1, cfg.encoder_stages + 1):
-            h, w = h // 2, w // 2
-            shapes.append((cfg.base_channels * 2 ** (s - 1), h, w))
-        return shapes
 
     # -- forward ------------------------------------------------------------
 
@@ -223,8 +211,7 @@ def build_model(config: ModelConfig, dtype=np.float32) -> Model:
 
 
 _CONFIG_KEYS = ("input_height", "input_width", "base_channels", "encoder_stages",
-                "fusion_mode", "leaky_alpha", "h_reciprocal", "d_min", "d_max",
-                "seed")
+                "fusion_mode", "leaky_alpha", "d_min", "d_max", "seed")
 
 
 def save_checkpoint(path, model: Model, extra: dict | None = None,
@@ -312,6 +299,8 @@ def load_checkpoint(path):
                 raise ValueError("unknown key")
         except (ValueError, SyntaxError):
             raise ValueError(f"{path}: bad header line {line!r}") from None
+    # older v1 files carry the reciprocal scale h, which the codec never read
+    cfg_kv.pop("h_reciprocal", None)
     try:
         config = ModelConfig(**cfg_kv)
     except (TypeError, ValueError) as exc:

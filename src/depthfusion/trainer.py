@@ -257,14 +257,9 @@ def train_step(model: Model, samples, cfg: TrainConfig, state: OptimState) -> fl
 
 
 def validate(model: Model, val_dir) -> M.MetricsReport:
-    reports = []
-    for sample_id in D.list_sample_ids(val_dir):
-        s = D.load_sample(val_dir, sample_id)
-        sparse = None if model.config.fusion_mode is FusionMode.RGB_ONLY else s.sparse
-        depth = model.predict_depth(s.rgb, sparse)
-        reports.append(M.compute_metrics(depth, np.clip(
-            s.gt, model.config.d_min, model.config.d_max)))
-    return M.mean_report(reports)
+    """Mean metrics over every sample of ``val_dir``."""
+    samples = (D.load_sample(val_dir, i) for i in D.list_sample_ids(val_dir))
+    return M.mean_report(M.evaluate(model, samples))
 
 
 def _moments_as_tensors(state: OptimState):

@@ -1,13 +1,15 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
 
 from depthfusion import data as D
 from depthfusion import geometry as G
+from depthfusion import metrics as M
 from depthfusion.cli import _train_configs, build_parser, depth_colormap, main
 from depthfusion.losses import PixelLossKind
-from depthfusion.model import FusionMode
+from depthfusion.model import FusionMode, Model
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +77,38 @@ def test_eval_divisor_flag_and_outputs(workspace):
     assert (out_gt / "summary.csv").read_text().startswith("sample_id,")
 
 
+def test_eval_scores_each_frame_before_loading_the_next(workspace, monkeypatch,
+                                                        capsys):
+    root, data = workspace["root"], workspace["data"]
+    split = root / "order"
+    split.mkdir()
+    for sample_id in D.list_sample_ids(data):
+        for path in D.sample_paths(data, sample_id).values():
+            shutil.copy(path, split)
+    (split / "000002_gt.pgm").unlink()
+    calls = []
+
+    def record(name, fn, frame=lambda args: None):
+        def wrapped(*args, **kwargs):
+            calls.append((name, frame(args)))
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(D, "load_sample",
+                        record("load", D.load_sample, lambda args: args[1]))
+    monkeypatch.setattr(Model, "predict_depth",
+                        record("predict", Model.predict_depth))
+    monkeypatch.setattr(M, "compute_metrics", record("score", M.compute_metrics))
+    assert main(["eval", "--checkpoint", str(workspace["ckpt"]),
+                 "--split-dir", str(split), "--out", str(root / "order_out")]) == 0
+    assert calls == [step for sample_id in ("000000", "000001", "000003")
+                     for step in (("load", sample_id), ("predict", None),
+                                  ("score", None))]
+    assert "sample 000002 has no groundtruth" in capsys.readouterr().err
+    agg = json.loads((root / "order_out" / "aggregate.json").read_text())
+    assert agg["skipped_samples"] == 1
+
+
 def test_project_round_trip(workspace):
     root = workspace["root"]
     s = D.load_sample(workspace["data"], "000001")
@@ -123,15 +157,31 @@ def test_malformed_inputs_exit_one(workspace, capsys):
     configs = {"epoch": "epochs=1\nepoch=5\n", "batchsize": "batchsize=7\n",
                "augment": "augment=maybe\n", "epochs": "# run\nepochs=abc\n",
                "lr0": "lr0=nan\n", "decay": "lr_decay_factor=inf\n",
-               "w_edge": "w_edge=NaN\n", "w_pixel": "w_pixel=inf\n"}
+               "w_edge": "w_edge=NaN\n", "w_pixel": "w_pixel=inf\n",
+               "h": "h_reciprocal=10.0\n"}
     for name, text in configs.items():
         (bad / f"{name}.cfg").write_text(text)
     (bad / "binary.cfg").write_bytes(b"\xff\xfeepochs=1\n")
+    metas = {"noeq": b"id=000001\nweather day\n", "seed": b"id=000001\nseed=x\n",
+             "binary": b"\x89\xff\xfe\x00binary\n"}
+    for name, meta in metas.items():
+        split = bad / f"split_{name}"
+        split.mkdir()
+        for path in D.sample_paths(data, "000001").values():
+            shutil.copy(path, split)
+        (split / "000001_meta.txt").write_bytes(meta)
     out = str(bad / "never.pgm")
 
     def train(config):
         return ["train", "--train-dir", data, "--out", bad / "run",
                 "--config", bad / config]
+
+    def evaluate(name):
+        return ["eval", "--checkpoint", workspace["ckpt"], "--split-dir",
+                bad / f"split_{name}", "--out", bad / "eval"]
+
+    def meta(name):
+        return str(bad / f"split_{name}" / "000001_meta.txt")
 
     cases = [
         (["project", "--cloud", bad / "garbage.csv", "--calibration",
@@ -147,6 +197,7 @@ def test_malformed_inputs_exit_one(workspace, capsys):
          "tolerance must be positive and finite, got nan"),
         (train("epoch.cfg"), "epoch.cfg:2: unknown key 'epoch'"),
         (train("batchsize.cfg"), "batchsize.cfg:1: unknown key 'batchsize'"),
+        (train("h.cfg"), "h.cfg:1: unknown key 'h_reciprocal'"),
         (train("augment.cfg"), "augment.cfg:1: augment='maybe': expected true or false"),
         (train("epochs.cfg"), "epochs.cfg:2: epochs='abc': invalid literal"),
         (train("binary.cfg"), "binary.cfg:1: unknown key"),
@@ -154,6 +205,9 @@ def test_malformed_inputs_exit_one(workspace, capsys):
         (train("decay.cfg"), "lr_decay_factor must be positive and finite, got inf"),
         (train("w_edge.cfg"), "w_edge must be non-negative and finite, got nan"),
         (train("w_pixel.cfg"), "w_pixel must be non-negative and finite, got inf"),
+        (evaluate("noeq"), meta("noeq") + ":2: expected key=value"),
+        (evaluate("seed"), meta("seed") + ":2: seed='x' is not an integer"),
+        (evaluate("binary"), meta("binary") + ":1: expected key=value"),
     ]
     for argv, message in cases:
         assert main([str(a) for a in argv]) == 1
@@ -161,6 +215,7 @@ def test_malformed_inputs_exit_one(workspace, capsys):
         assert err["code"] == 1 and message in err["error"]
     assert not (bad / "never.pgm").exists()
     assert not (bad / "run").exists()
+    assert not (bad / "eval").exists()
 
 
 def test_train_config_file_is_read_and_flags_override_it(tmp_path):

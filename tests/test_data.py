@@ -83,6 +83,21 @@ def test_sample_round_trip(tmp_path):
     np.testing.assert_array_equal(back.sparse > 0, s.sparse > 0)
 
 
+@pytest.mark.parametrize("meta, message", [
+    (b"id=s\nweather day\n", ":2: expected key=value, got 'weather day'"),
+    (b"id=s\nseed=x\n", ":2: seed='x' is not an integer"),
+    (b"\x89\xff\xfe\x00binary\n", ":1: expected key=value"),
+])
+def test_malformed_meta_errors_name_the_file(tmp_path, meta, message):
+    s = D.generate_sample(D.SceneSpec(width=32, height=32), seed=5)
+    paths = D.save_sample(s, tmp_path)
+    with open(paths["meta"], "wb") as f:
+        f.write(meta)
+    with pytest.raises(ValueError) as info:
+        D.load_sample(tmp_path, s.sample_id)
+    assert str(info.value).startswith(f"{paths['meta']}{message}")
+
+
 def test_generator_determinism():
     spec = D.SceneSpec(width=32, height=32)
     a = D.generate_sample(spec, seed=42)

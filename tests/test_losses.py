@@ -154,4 +154,4 @@ def test_codec_validation():
     with pytest.raises(ValueError):
         ReciprocalCodec(d_min=2.0, d_max=1.0)
     with pytest.raises(ValueError):
-        ReciprocalCodec(h=0.0)
+        ReciprocalCodec(d_min=0.0)

@@ -4,10 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from depthfusion.metrics import (Divisor, bilinear_resize, compute_metrics,
-                                 evaluate_with_resize, mean_report,
+from depthfusion.metrics import (Divisor, compute_metrics, mean_report,
                                  reference_metrics, write_reports)
-from depthfusion.tensor import Tensor, bilinear_upsample2x
 
 
 def test_hand_example_both_divisors():
@@ -78,27 +76,6 @@ def test_metric_invariances():
     shuffled = compute_metrics(pred.ravel()[perm].reshape(6, 6),
                                gt.ravel()[perm].reshape(6, 6))
     assert shuffled.as_dict() == pytest.approx(base.as_dict(), abs=1e-12)
-
-
-def test_bilinear_resize_matches_network_upsample():
-    rng = np.random.default_rng(3)
-    x = rng.uniform(0, 1, size=(6, 8))
-    up = bilinear_upsample2x(Tensor(x[None, None])).data[0, 0]
-    np.testing.assert_allclose(bilinear_resize(x, 12, 16), up, atol=1e-12)
-
-
-def test_resize_constant_preserved():
-    x = np.full((5, 7), 3.3)
-    out = bilinear_resize(x, 20, 31)
-    np.testing.assert_allclose(out, 3.3, atol=1e-12)
-
-
-def test_evaluate_with_resize_constant_case():
-    gt = np.random.default_rng(4).uniform(1, 10, size=(12, 16))
-    pred_low = np.full((6, 8), 5.0)
-    rep = evaluate_with_resize(pred_low, gt)
-    direct = compute_metrics(np.full((12, 16), 5.0), gt)
-    assert rep.as_dict() == pytest.approx(direct.as_dict(), abs=1e-12)
 
 
 def test_mean_report_averages_per_image():

@@ -29,12 +29,6 @@ def test_config_validation():
         ModelConfig(encoder_stages=0)
 
 
-def test_encoder_feature_shapes_default():
-    model = build_model(ModelConfig())
-    assert model.encoder_feature_shapes() == [
-        (16, 48, 80), (32, 24, 40), (64, 12, 20), (128, 6, 10)]
-
-
 def test_forward_output_shape_and_range():
     model = build_model(TINY)
     rgb, sparse = _inputs(TINY)
@@ -245,6 +239,21 @@ def test_checkpoint_rejects_bad_config(tmp_path):
         with pytest.raises(ValueError) as info:
             load_checkpoint(bad)
         assert str(info.value) == f"{bad}: bad config: {message}"
+
+
+def test_checkpoint_with_reciprocal_scale_line_still_loads(tmp_path):
+    # v1 files written before ModelConfig.h_reciprocal was dropped carry it
+    model = build_model(TINY)
+    blob = _saved(tmp_path, model).read_bytes()
+    anchor = b"config.leaky_alpha=0.2\n"
+    assert anchor in blob and b"h_reciprocal" not in blob
+    old = tmp_path / "old.ckpt"
+    old.write_bytes(blob.replace(anchor, anchor + b"config.h_reciprocal=10.0\n"))
+    back, _, _ = load_checkpoint(old)
+    assert back.config == TINY
+    for name in model.params:
+        np.testing.assert_array_equal(back.params[name].data,
+                                      model.params[name].data)
 
 
 def test_checkpoint_write_failing_part_way_keeps_previous_file(tmp_path):
