@@ -60,37 +60,26 @@ def _parse_weather_mix(text):
     return mix
 
 
-def _true_or_false(text):
-    if text.lower() not in ("true", "false"):
-        raise ValueError("expected true or false")
-    return text.lower() == "true"
-
-
-# every key a train config file may set, with how its value is read
+# every key a train config file may set, by the dataclass whose field of
+# that name it sets (model_seed sets ModelConfig.seed), with how its value
+# is read
 _TRAIN_KEYS = {
-    "epochs": int, "batch_size": int, "lr0": float, "lr_decay_factor": float,
-    "lr_decay_every": int, "loss_kind": PixelLossKind, "w_ssim": float,
-    "w_edge": float, "w_pixel": float, "augment": _true_or_false,
-    "shuffle_seed": int, "augment_seed": int, "input_height": int,
-    "input_width": int, "base_channels": int, "encoder_stages": int,
-    "fusion_mode": FusionMode, "leaky_alpha": float, "d_min": float,
-    "d_max": float, "model_seed": int,
+    TrainConfig: {"epochs": int, "batch_size": int, "lr0": float,
+                  "lr_decay_factor": float, "lr_decay_every": int,
+                  "loss_kind": PixelLossKind, "augment": bool,
+                  "shuffle_seed": int, "augment_seed": int},
+    LossWeights: {"w_ssim": float, "w_edge": float, "w_pixel": float},
+    ModelConfig: {"input_height": int, "input_width": int,
+                  "base_channels": int, "encoder_stages": int,
+                  "fusion_mode": FusionMode, "leaky_alpha": float,
+                  "d_min": float, "d_max": float, "model_seed": int},
 }
-
-
-def _load_config_file(path):
-    """The values of a train config file's ``key=value`` lines, read by
-    ``_TRAIN_KEYS``. An unknown key or a value that does not parse is a
-    ValidationError naming the path, the line and the key."""
-    kv = {}
-    for lineno, k, v in G.read_key_values(path):
-        if k not in _TRAIN_KEYS:
-            raise ValidationError(f"{path}:{lineno}: unknown key {k!r}")
-        try:
-            kv[k] = _TRAIN_KEYS[k](v)
-        except ValueError as exc:
-            raise ValidationError(f"{path}:{lineno}: {k}={v!r}: {exc}") from None
-    return kv
+# each train flag, with the config keys it overrides
+_TRAIN_FLAGS = {"epochs": ("epochs",), "batch_size": ("batch_size",),
+                "lr0": ("lr0",), "loss": ("loss_kind",),
+                "fusion": ("fusion_mode",), "width": ("input_width",),
+                "height": ("input_height",),
+                "seed": ("shuffle_seed", "model_seed")}
 
 
 # ---------------------------------------------------------------------------
@@ -107,38 +96,28 @@ def cmd_gen_data(args):
 
 
 def _train_configs(args):
-    cfg_file = _load_config_file(args.config) if args.config else {}
+    """TrainConfig and ModelConfig from the ``--config`` file's keys and the
+    flags, a flag over the key it overrides. Only the keys that are set
+    are passed, so every other field keeps its dataclass default."""
+    schema = {k: kind for keys in _TRAIN_KEYS.values() for k, kind in keys.items()}
+    values = (G.read_key_values(args.config, schema, required=False)
+              if args.config else {})
+    for flag, keys in _TRAIN_FLAGS.items():
+        if getattr(args, flag) is not None:
+            values.update(dict.fromkeys(keys, getattr(args, flag)))
 
-    def pick(key, flag_value, default):
-        if flag_value is not None:
-            return flag_value
-        return cfg_file.get(key, default)
+    def given(cls):
+        return {{"model_seed": "seed"}.get(k, k): values[k]
+                for k in _TRAIN_KEYS[cls] if k in values}
 
-    tcfg = TrainConfig(
-        epochs=pick("epochs", args.epochs, 20),
-        batch_size=pick("batch_size", args.batch_size, 2),
-        lr0=pick("lr0", args.lr0, 1e-4),
-        lr_decay_factor=pick("lr_decay_factor", None, 0.2),
-        lr_decay_every=pick("lr_decay_every", None, 7),
-        loss_kind=PixelLossKind(pick("loss_kind", args.loss, "l1")),
-        loss_weights=LossWeights(
-            w_ssim=pick("w_ssim", None, 1.0),
-            w_edge=pick("w_edge", None, 1.0),
-            w_pixel=pick("w_pixel", None, 1.0)),
-        augment=pick("augment", None, True),
-        shuffle_seed=pick("shuffle_seed", args.seed, 0),
-        augment_seed=pick("augment_seed", None, 1))
-    mcfg = ModelConfig(
-        input_height=pick("input_height", args.height, 96),
-        input_width=pick("input_width", args.width, 160),
-        base_channels=pick("base_channels", None, 16),
-        encoder_stages=pick("encoder_stages", None, 4),
-        fusion_mode=FusionMode(pick("fusion_mode", args.fusion, "rgb")),
-        leaky_alpha=pick("leaky_alpha", None, 0.2),
-        d_min=pick("d_min", None, 0.5),
-        d_max=pick("d_max", None, 80.0),
-        seed=pick("model_seed", args.seed, 0))
-    return tcfg, mcfg
+    try:
+        return (TrainConfig(**given(TrainConfig),
+                            loss_weights=LossWeights(**given(LossWeights))),
+                ModelConfig(**given(ModelConfig)))
+    except ValueError as exc:
+        if args.config is None:
+            raise
+        raise ValidationError(f"{args.config}: bad config: {exc}") from None
 
 
 def cmd_train(args):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .geometry import (CameraIntrinsics, PointCloud, RigidPose, _number,
+from .geometry import (CameraIntrinsics, PointCloud, RigidPose,
                        project_points, read_key_values)
 
 WEATHERS = ("day", "night", "fog", "rain", "cloudy")
@@ -38,7 +38,6 @@ class AugmentConfig:
     p_brightness: float = 0.5
     contrast_range: tuple = (0.9, 1.1)
     brightness_range: tuple = (0.75, 1.25)
-    seed: int = 0
 
     def __post_init__(self):
         for p in (self.p_flip, self.p_contrast, self.p_brightness):
@@ -348,19 +347,20 @@ def save_sample(sample: Sample, directory):
     return paths
 
 
+# the keys of a sample's ``_meta.txt``, all required, with how each is read
+_META_KEYS = {"id": str, "weather": WEATHERS, "seed": int}
+
+
 def load_sample(directory, sample_id) -> Sample:
-    """A malformed ``_meta.txt`` line, or a seed that is not an integer, is
-    a ValueError naming the file and the line."""
+    """A ``_meta.txt`` that ``read_key_values`` rejects under ``_META_KEYS``
+    is a ValueError naming the file, the line and the key."""
     paths = sample_paths(directory, sample_id)
-    meta = {}
-    for lineno, k, v in read_key_values(paths["meta"]):
-        meta[k] = _number(v, paths["meta"], lineno, k, int) if k == "seed" else v
+    meta = read_key_values(paths["meta"], _META_KEYS)
     return Sample(rgb=load_ppm(paths["rgb"]),
                   sparse=load_depth_pgm(paths["sparse"]),
                   gt=load_depth_pgm(paths["gt"]),
-                  sample_id=meta.get("id", sample_id),
-                  weather=meta.get("weather", "day"),
-                  seed=meta.get("seed", 0))
+                  sample_id=meta["id"], weather=meta["weather"],
+                  seed=meta["seed"])
 
 
 def list_sample_ids(directory):

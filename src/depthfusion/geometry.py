@@ -7,7 +7,7 @@ Depth is the camera-frame z coordinate in meters; a zero pixel means
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -125,25 +125,41 @@ def save_cloud_csv(cloud: PointCloud, path):
                 f.write(f"{float(p[0])!r},{float(p[1])!r},{float(p[2])!r}\n")
 
 
-def _number(text, path, lineno, key, kind=float):
-    """``kind(text)`` if that is finite, else a ValueError naming the file,
-    the line and the key."""
-    try:
-        value = kind(text)
-    except ValueError:
-        value = None
-    if value is None or not math.isfinite(value):
+def _parse(text, kind, path, lineno, key):
+    """``text`` read as ``kind``: int, finite float, bool (``true`` or
+    ``false``, any case), str, an Enum or a tuple of allowed strings; if it
+    is not one, a ValueError naming the file, the line and the key."""
+    if kind is bool:
+        value = {"true": True, "false": False}.get(text.lower())
+        what = "true or false"
+    elif kind in (int, float):
+        try:
+            value = kind(text)
+            value = value if math.isfinite(value) else None
+        except ValueError:
+            value = None
         what = "an integer" if kind is int else "a finite number"
+    elif kind is str:
+        value = text
+    else:
+        choices = ({c: c for c in kind} if isinstance(kind, tuple)
+                   else {m.value: m for m in kind})
+        value = choices.get(text)
+        what = "one of " + ", ".join(choices)
+    if value is None:
         raise ValueError(f"{path}:{lineno}: {key}={text!r} is not {what}")
     return value
 
 
-def read_key_values(path):
-    """Yields ``(line number, key, value)`` for each ``key=value`` line of a
-    text file, key and value stripped. Blank lines and ``#`` comments are
-    skipped; a line without ``=`` is a ValueError naming the file and the
-    line. Undecodable bytes are read as U+FFFD, so they reach the caller's
-    checks of keys and values."""
+def read_key_values(path, schema, required=True):
+    """The ``key=value`` lines of a text file as ``{key: value}``, each
+    stripped and read by ``_parse`` as ``schema[key]``; blank lines and
+    ``#`` comments are skipped. A line without ``=``, a key not in
+    ``schema``, a repeated key, a bad value and, if ``required``, a key the
+    file lacks are ValueErrors naming the file, the line and the key.
+    Undecodable bytes are read as U+FFFD, so they reach those checks."""
+    values = {}
+    lineno = 0
     with open(path, "r", encoding="utf-8", errors="replace") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
@@ -151,8 +167,17 @@ def read_key_values(path):
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            k, v = line.split("=", 1)
-            yield lineno, k.strip(), v.strip()
+            key, text = (part.strip() for part in line.split("=", 1))
+            if key not in schema:
+                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in values:
+                raise ValueError(f"{path}:{lineno}: repeated key {key!r}")
+            values[key] = _parse(text, schema[key], path, lineno, key)
+    missing = [key for key in schema if required and key not in values]
+    if missing:
+        raise ValueError(f"{path}: missing key {missing[0]!r} "
+                         f"(the file ends at line {lineno})")
+    return values
 
 
 def load_cloud_csv(path) -> PointCloud:
@@ -171,7 +196,7 @@ def load_cloud_csv(path) -> PointCloud:
             if len(parts) != len(keys):
                 raise ValueError(f"{path}:{lineno}: expected "
                                  f"{len(keys)} fields, got {len(parts)}")
-            vals = [_number(p, path, lineno, k) for p, k in zip(parts, keys)]
+            vals = [_parse(p, float, path, lineno, k) for p, k in zip(parts, keys)]
             pts.append(vals[:3])
             if has_i:
                 inten.append(vals[3])
@@ -179,41 +204,30 @@ def load_cloud_csv(path) -> PointCloud:
     return PointCloud(pts, np.array(inten) if has_i else None)
 
 
+# the keys of a calibration file in the order ``save_calibration`` writes
+# them (the CameraIntrinsics fields, the rotation row by row, the
+# translation), each with how its value is read
+_CALIBRATION_KEYS = {
+    "fx": float, "fy": float, "cx": float, "cy": float, "width": int,
+    "height": int, **{f"r{i}{j}": float for i in range(3) for j in range(3)},
+    **{f"t{i}": float for i in range(3)},
+}
+
+
 def save_calibration(intrinsics: CameraIntrinsics, pose: RigidPose, path):
-    keys = {
-        "fx": float(intrinsics.fx), "fy": float(intrinsics.fy),
-        "cx": float(intrinsics.cx), "cy": float(intrinsics.cy),
-        "width": int(intrinsics.width), "height": int(intrinsics.height),
-    }
-    r = pose.rotation
-    for i in range(3):
-        for j in range(3):
-            keys[f"r{i}{j}"] = float(r[i, j])
-    for i in range(3):
-        keys[f"t{i}"] = float(pose.translation[i])
+    values = [*astuple(intrinsics), *pose.rotation.reshape(-1), *pose.translation]
     with open(path, "w", encoding="utf-8") as f:
-        for k, v in keys.items():
-            f.write(f"{k}={v!r}\n")
+        for (key, kind), value in zip(_CALIBRATION_KEYS.items(), values):
+            f.write(f"{key}={kind(value)!r}\n")
 
 
 def load_calibration(path):
-    """Intrinsics and pose from the key=value file ``save_calibration``
-    writes. A missing key, a value that is not a number and an invalid
-    camera or pose are ValueErrors naming the file, and the line and key
-    where there is one."""
-    kv = {k: (v, lineno) for lineno, k, v in read_key_values(path)}
-
-    def get(key, kind=float):
-        if key not in kv:
-            raise ValueError(f"{path}: missing key {key!r}")
-        text, lineno = kv[key]
-        return _number(text, path, lineno, key, kind)
-
-    camera = dict(fx=get("fx"), fy=get("fy"), cx=get("cx"), cy=get("cy"),
-                  width=get("width", int), height=get("height", int))
-    r = np.array([[get(f"r{i}{j}") for j in range(3)] for i in range(3)])
-    t = np.array([get(f"t{i}") for i in range(3)])
+    """Intrinsics and pose from the file ``save_calibration`` writes. Every
+    key is required; a file ``read_key_values`` rejects and an invalid
+    camera or pose are ValueErrors naming the file."""
+    kv = read_key_values(path, _CALIBRATION_KEYS)
+    values = [kv[key] for key in _CALIBRATION_KEYS]
     try:
-        return CameraIntrinsics(**camera), RigidPose(r, t)
+        return CameraIntrinsics(*values[:6]), RigidPose(values[6:15], values[15:])
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

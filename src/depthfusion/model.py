@@ -14,9 +14,10 @@ from __future__ import annotations
 import ast
 import contextlib
 import math
+import numbers
 import os
 import struct
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 from enum import Enum
 
 import numpy as np
@@ -47,15 +48,24 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if isinstance(self.fusion_mode, str):
-            self.fusion_mode = FusionMode(self.fusion_mode)
+        self.fusion_mode = FusionMode(self.fusion_mode)
+        for f in fields(self):  # each int and float field, by its default
+            value = getattr(self, f.name)
+            kind = {int: numbers.Integral, float: numbers.Real}.get(type(f.default))
+            if kind and (isinstance(value, bool) or not isinstance(value, kind)
+                         or not math.isfinite(value)):
+                what = "an integer" if kind is numbers.Integral else "a finite number"
+                raise ValueError(f"{f.name} must be {what}, got {value!r}")
+        if not 0 <= self.leaky_alpha < 1:
+            raise ValueError(f"leaky_alpha must be in [0, 1), got {self.leaky_alpha}")
+        if self.encoder_stages < 1 or self.base_channels < 1:
+            raise ValueError("encoder_stages and base_channels must be >= 1")
         div = 2 ** self.encoder_stages
         if self.input_height % div or self.input_width % div:
             raise ValueError(
                 f"input {self.input_height}x{self.input_width} not divisible "
                 f"by 2^{self.encoder_stages}")
-        if self.encoder_stages < 1 or self.base_channels < 1:
-            raise ValueError("encoder_stages and base_channels must be >= 1")
+        self.codec()  # ReciprocalCodec rejects a bad d_min, d_max pair
 
     def codec(self) -> ReciprocalCodec:
         return ReciprocalCodec(d_min=self.d_min, d_max=self.d_max)
@@ -210,10 +220,6 @@ def build_model(config: ModelConfig, dtype=np.float32) -> Model:
 # as {u32 name length, name bytes, u32 rank, u32 extents..., f32 LE data}
 
 
-_CONFIG_KEYS = ("input_height", "input_width", "base_channels", "encoder_stages",
-                "fusion_mode", "leaky_alpha", "d_min", "d_max", "seed")
-
-
 def save_checkpoint(path, model: Model, extra: dict | None = None,
                     moments: dict[str, np.ndarray] | None = None):
     """``extra`` carries scalar training state (epoch, lr, adam_t, ...)."""
@@ -229,8 +235,8 @@ def save_checkpoint(path, model: Model, extra: dict | None = None,
     try:
         with open(tmp, "wb") as f:
             f.write(f"{CHECKPOINT_MAGIC}\n".encode("utf-8"))
-            for k in _CONFIG_KEYS:
-                f.write(f"config.{k}={cfg[k]!r}\n".encode("utf-8"))
+            for k in fields(ModelConfig):
+                f.write(f"config.{k.name}={cfg[k.name]!r}\n".encode("utf-8"))
             for k in sorted(extra or {}):
                 f.write(f"state.{k}={extra[k]!r}\n".encode("utf-8"))
             f.write(f"tensors={len(named)}\n".encode("utf-8"))
@@ -253,12 +259,14 @@ def save_checkpoint(path, model: Model, extra: dict | None = None,
 def load_checkpoint(path):
     """Returns (model, extra state dict, optimizer moment arrays).
 
-    Every malformation is a ValueError naming the file, and the tensor
-    where there is one: a bad header, a config ``ModelConfig`` rejects, a
+    The model is built from the header's config first, and each tensor's
+    name and shape are checked against it before its data is read. Every
+    malformation is a ValueError naming the file, and the tensor where
+    there is one: a bad header, a config ``ModelConfig`` rejects, a
     truncated file, trailing bytes, a tensor count other than the
     header's, a name that is neither a weight of the configured model nor
-    an Adam moment (``adam.m.*``, ``adam.v.*``) of one, a shape other than
-    the config's, and a missing weight.
+    an Adam moment (``adam.m.*``, ``adam.v.*``) of one, a repeated name, a
+    rank or shape other than the config's, and a missing weight.
     """
     with open(path, "rb") as f:
         blob = f.read()
@@ -302,10 +310,10 @@ def load_checkpoint(path):
     # older v1 files carry the reciprocal scale h, which the codec never read
     cfg_kv.pop("h_reciprocal", None)
     try:
-        config = ModelConfig(**cfg_kv)
+        model = Model(ModelConfig(**cfg_kv))
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: bad config: {exc}") from None
-    named = {}
+    seen, moments = set(), {}
     for k in range(n_tensors):
         if pos == len(blob):
             raise ValueError(f"{path}: the header declares {n_tensors} tensors, "
@@ -313,32 +321,33 @@ def load_checkpoint(path):
         where = f"tensor {k + 1} of {n_tensors}"
         (nlen,) = struct.unpack("<I", take(4, where))
         name = take(nlen, where).decode("utf-8", errors="replace")
-        where = f"tensor {name!r}"
-        (rank,) = struct.unpack("<I", take(4, where))
-        shape = struct.unpack(f"<{rank}I", take(4 * rank, where))
-        data = take(4 * math.prod(shape), where)
-        if name in named:
-            raise ValueError(f"{path}: tensor {name!r} appears twice")
-        named[name] = np.frombuffer(data, dtype="<f4").reshape(shape).copy()
-    if pos != len(blob):
-        raise ValueError(f"{path}: {len(blob) - pos} trailing bytes after the "
-                         f"{n_tensors} tensors the header declares")
-    model = Model(config)
-    moments = {}
-    for name, arr in named.items():
         is_moment = name.startswith(("adam.m.", "adam.v."))
         weight = name[len("adam.m."):] if is_moment else name
         if weight not in model.params:
             raise ValueError(f"{path}: tensor {name!r} is neither a weight of the "
                              "configured model nor an Adam moment of one")
-        if arr.shape != model.params[weight].shape:
-            raise ValueError(f"{path}: tensor {name!r} has shape {arr.shape}, the "
-                             f"config gives {model.params[weight].shape}")
+        if name in seen:
+            raise ValueError(f"{path}: tensor {name!r} appears twice")
+        seen.add(name)
+        where = f"tensor {name!r}"
+        expected = model.params[weight].shape
+        (rank,) = struct.unpack("<I", take(4, where))
+        if rank != len(expected):
+            raise ValueError(f"{path}: tensor {name!r} has rank {rank}, the "
+                             f"config gives shape {expected}")
+        shape = struct.unpack(f"<{rank}I", take(4 * rank, where))
+        if shape != expected:
+            raise ValueError(f"{path}: tensor {name!r} has shape {shape}, the "
+                             f"config gives {expected}")
+        arr = np.frombuffer(take(4 * math.prod(shape), where), dtype="<f4")
         if is_moment:
-            moments[name] = arr
+            moments[name] = arr.reshape(shape).copy()
         else:
-            model.params[name].data = arr.astype(model.dtype)
-    missing = [name for name in model.params if name not in named]
+            model.params[name].data = arr.reshape(shape).astype(model.dtype)
+    if pos != len(blob):
+        raise ValueError(f"{path}: {len(blob) - pos} trailing bytes after the "
+                         f"{n_tensors} tensors the header declares")
+    missing = [name for name in model.params if name not in seen]
     if missing:
         raise ValueError(f"{path}: weight {missing[0]!r} is missing")
     return model, extra, moments

@@ -84,9 +84,6 @@ class Tensor:
     def item(self):
         return float(self.data.reshape(-1)[0])
 
-    def detach(self):
-        return Tensor(self.data, requires_grad=False)
-
     def zero_grad(self):
         self.grad = None
 

@@ -150,6 +150,15 @@ def test_malformed_inputs_exit_one(workspace, capsys):
                      bad / "cloud.csv")
     G.save_calibration(D.SceneSpec(width=32, height=32).intrinsics,
                        G.RigidPose.identity(), bad / "calib.txt")
+    # calibration, meta and train config share one reader: an unknown key, a
+    # repeated key, a bad value and a missing required key (train config
+    # keys are all optional) each name the path, the line and the key
+    calib = (bad / "calib.txt").read_text().splitlines()
+    assert len(calib) == 18 and calib[4] == "width=32"
+    calibs = {"colour": calib + ["colour=red"], "fx": calib + ["fx=1e9"],
+              "width": calib[:4] + ["width=32.5"] + calib[5:], "t2": calib[:-1]}
+    for name, lines in calibs.items():
+        (bad / f"calib_{name}.txt").write_text("\n".join(lines) + "\n")
     (bad / "garbage.csv").write_text("x,y,z\n1,2,abc\n")
     (bad / "short.txt").write_text("fx=10.0\nfy=10.0\ncx=5.0\n")
     (bad / "short.pgm").write_bytes((data / "000002_sparse.pgm").read_bytes()[:-7])
@@ -158,18 +167,24 @@ def test_malformed_inputs_exit_one(workspace, capsys):
                "augment": "augment=maybe\n", "epochs": "# run\nepochs=abc\n",
                "lr0": "lr0=nan\n", "decay": "lr_decay_factor=inf\n",
                "w_edge": "w_edge=NaN\n", "w_pixel": "w_pixel=inf\n",
-               "h": "h_reciprocal=10.0\n"}
+               "h": "h_reciprocal=10.0\n", "repeat": "epochs=1\nepochs=5\n",
+               "fusion": "fusion_mode=zzz\n", "height": "input_height=40\n"}
     for name, text in configs.items():
         (bad / f"{name}.cfg").write_text(text)
     (bad / "binary.cfg").write_bytes(b"\xff\xfeepochs=1\n")
+    meta = (data / "000001_meta.txt").read_bytes()
+    assert meta.startswith(b"id=000001\nweather=day\nseed=") and meta.count(b"\n") == 3
     metas = {"noeq": b"id=000001\nweather day\n", "seed": b"id=000001\nseed=x\n",
-             "binary": b"\x89\xff\xfe\x00binary\n"}
-    for name, meta in metas.items():
+             "binary": b"\x89\xff\xfe\x00binary\n", "colour": meta + b"colour=red\n",
+             "repeat": meta + b"seed=5\n",
+             "weather": meta.replace(b"weather=day", b"weather=zzz"),
+             "noweather": meta.replace(b"weather=day\n", b"")}
+    for name, text in metas.items():
         split = bad / f"split_{name}"
         split.mkdir()
         for path in D.sample_paths(data, "000001").values():
             shutil.copy(path, split)
-        (split / "000001_meta.txt").write_bytes(meta)
+        (split / "000001_meta.txt").write_bytes(text)
     out = str(bad / "never.pgm")
 
     def train(config):
@@ -183,11 +198,18 @@ def test_malformed_inputs_exit_one(workspace, capsys):
     def meta(name):
         return str(bad / f"split_{name}" / "000001_meta.txt")
 
+    def project(calibration):
+        return ["project", "--cloud", bad / "cloud.csv", "--calibration",
+                bad / calibration, "--out", out]
+
     cases = [
         (["project", "--cloud", bad / "garbage.csv", "--calibration",
           bad / "calib.txt", "--out", out], "garbage.csv:2: z='abc'"),
-        (["project", "--cloud", bad / "cloud.csv", "--calibration",
-          bad / "short.txt", "--out", out], "short.txt: missing key 'cy'"),
+        (project("short.txt"), "short.txt: missing key 'cy' (the file ends at line 3)"),
+        (project("calib_colour.txt"), "calib_colour.txt:19: unknown key 'colour'"),
+        (project("calib_fx.txt"), "calib_fx.txt:19: repeated key 'fx'"),
+        (project("calib_width.txt"), "calib_width.txt:5: width='32.5' is not an integer"),
+        (project("calib_t2.txt"), "calib_t2.txt: missing key 't2' (the file ends at line 17)"),
         (["densify", "--sparse", bad / "short.pgm", "--guide",
           data / "000002_rgb.ppm", "--out", out], "truncated pixel data"),
         (["densify", "--sparse", data / "000002_sparse.pgm", "--guide",
@@ -198,16 +220,25 @@ def test_malformed_inputs_exit_one(workspace, capsys):
         (train("epoch.cfg"), "epoch.cfg:2: unknown key 'epoch'"),
         (train("batchsize.cfg"), "batchsize.cfg:1: unknown key 'batchsize'"),
         (train("h.cfg"), "h.cfg:1: unknown key 'h_reciprocal'"),
-        (train("augment.cfg"), "augment.cfg:1: augment='maybe': expected true or false"),
-        (train("epochs.cfg"), "epochs.cfg:2: epochs='abc': invalid literal"),
+        (train("augment.cfg"), "augment.cfg:1: augment='maybe' is not true or false"),
+        (train("epochs.cfg"), "epochs.cfg:2: epochs='abc' is not an integer"),
         (train("binary.cfg"), "binary.cfg:1: unknown key"),
-        (train("lr0.cfg"), "lr0 must be positive and finite, got nan"),
-        (train("decay.cfg"), "lr_decay_factor must be positive and finite, got inf"),
-        (train("w_edge.cfg"), "w_edge must be non-negative and finite, got nan"),
-        (train("w_pixel.cfg"), "w_pixel must be non-negative and finite, got inf"),
+        (train("lr0.cfg"), "lr0.cfg:1: lr0='nan' is not a finite number"),
+        (train("decay.cfg"), "decay.cfg:1: lr_decay_factor='inf' is not a finite number"),
+        (train("w_edge.cfg"), "w_edge.cfg:1: w_edge='NaN' is not a finite number"),
+        (train("w_pixel.cfg"), "w_pixel.cfg:1: w_pixel='inf' is not a finite number"),
+        (train("repeat.cfg"), "repeat.cfg:2: repeated key 'epochs'"),
+        (train("fusion.cfg"), "fusion.cfg:1: fusion_mode='zzz' is not one of rgb, concat, add"),
+        (train("height.cfg"), "height.cfg: bad config: input 40x160 not divisible by 2^4"),
         (evaluate("noeq"), meta("noeq") + ":2: expected key=value"),
         (evaluate("seed"), meta("seed") + ":2: seed='x' is not an integer"),
         (evaluate("binary"), meta("binary") + ":1: expected key=value"),
+        (evaluate("colour"), meta("colour") + ":4: unknown key 'colour'"),
+        (evaluate("repeat"), meta("repeat") + ":4: repeated key 'seed'"),
+        (evaluate("weather"), meta("weather")
+         + ":2: weather='zzz' is not one of day, night, fog, rain, cloudy"),
+        (evaluate("noweather"), meta("noweather")
+         + ": missing key 'weather' (the file ends at line 2)"),
     ]
     for argv, message in cases:
         assert main([str(a) for a in argv]) == 1

@@ -27,6 +27,19 @@ def test_config_validation():
         ModelConfig(input_height=50, input_width=160)  # not divisible by 16
     with pytest.raises(ValueError):
         ModelConfig(encoder_stages=0)
+    bad = [({"base_channels": 2.0}, "base_channels must be an integer"),
+           ({"seed": True}, "seed must be an integer"),
+           ({"leaky_alpha": 1.0}, "leaky_alpha must be in [0, 1)"),
+           ({"leaky_alpha": -0.1}, "leaky_alpha must be in [0, 1)"),
+           ({"d_max": float("inf")}, "d_max must be a finite number"),
+           ({"d_min": float("nan")}, "d_min must be a finite number"),
+           ({"d_min": 100.0}, "bad codec parameters"),
+           ({"fusion_mode": 3}, "3 is not a valid FusionMode")]
+    for kwargs, message in bad:
+        with pytest.raises(ValueError) as info:
+            ModelConfig(**kwargs)
+        assert message in str(info.value)
+    assert ModelConfig(seed=np.int64(3), d_min=1).seed == 3
 
 
 def test_forward_output_shape_and_range():
@@ -232,6 +245,10 @@ def test_checkpoint_rejects_bad_config(tmp_path):
          "'zzz' is not a valid FusionMode"),
         (b"config.input_height=16", b"config.input_height=18",
          "input 18x16 not divisible by 2^2"),
+        (b"config.base_channels=2", b"config.base_channels=2.0",
+         "base_channels must be an integer, got 2.0"),
+        (b"config.leaky_alpha=0.2", b"config.leaky_alpha='x'",
+         "leaky_alpha must be a finite number, got 'x'"),
     ]
     for good, wrong, message in cases:
         assert good in blob
