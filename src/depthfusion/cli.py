@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -50,13 +51,22 @@ def depth_colormap(depth, d_min, d_max):
 
 
 def _parse_weather_mix(text):
+    """{name: fraction} from ``name:fraction,...``; a fraction is a finite
+    number >= 0 and a name appears once."""
     mix = {}
     for part in text.split(","):
-        if ":" not in part:
-            raise ValidationError(f"bad weather mix entry {part!r}; "
-                                  "expected name:fraction")
-        name, frac = part.split(":", 1)
-        mix[name.strip()] = float(frac)
+        name, sep, frac = part.partition(":")
+        name = name.strip()
+        try:
+            value = float(frac)
+        except ValueError:
+            value = math.nan
+        if not sep or not 0 <= value < math.inf:
+            raise ValidationError(f"--weather-mix: bad entry {part!r}; expected "
+                                  "name:fraction, a finite fraction >= 0")
+        if name in mix:
+            raise ValidationError(f"--weather-mix: {name!r} is repeated in entry {part!r}")
+        mix[name] = value
     return mix
 
 
@@ -97,8 +107,9 @@ def cmd_gen_data(args):
 
 def _train_configs(args):
     """TrainConfig and ModelConfig from the ``--config`` file's keys and the
-    flags, a flag over the key it overrides. Only the keys that are set
-    are passed, so every other field keeps its dataclass default."""
+    flags, a flag over the key it overrides, and the ModelConfig fields
+    that were set. Only the keys that are set are passed, so every other
+    field keeps its dataclass default."""
     schema = {k: kind for keys in _TRAIN_KEYS.values() for k, kind in keys.items()}
     values = (G.read_key_values(args.config, schema, required=False)
               if args.config else {})
@@ -110,10 +121,11 @@ def _train_configs(args):
         return {{"model_seed": "seed"}.get(k, k): values[k]
                 for k in _TRAIN_KEYS[cls] if k in values}
 
+    model_values = given(ModelConfig)
     try:
         return (TrainConfig(**given(TrainConfig),
                             loss_weights=LossWeights(**given(LossWeights))),
-                ModelConfig(**given(ModelConfig)))
+                ModelConfig(**model_values), tuple(model_values))
     except ValueError as exc:
         if args.config is None:
             raise
@@ -121,10 +133,11 @@ def _train_configs(args):
 
 
 def cmd_train(args):
-    tcfg, mcfg = _train_configs(args)
+    tcfg, mcfg, model_keys = _train_configs(args)
     model, log = train(tcfg, mcfg, args.train_dir, val_dir=args.val_dir,
                        out_dir=args.out, resume=args.resume,
-                       log_fn=lambda rec: print(json.dumps(rec, sort_keys=True)))
+                       log_fn=lambda rec: print(json.dumps(rec, sort_keys=True)),
+                       model_keys=model_keys)
     print(f"finished {len(log)} epochs; checkpoints in {args.out}")
     return 0
 

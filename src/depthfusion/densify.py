@@ -1,11 +1,30 @@
 """Guided densification of sparse depth via intensity-affinity propagation.
 
 Every unknown pixel is constrained to the affinity-weighted average of its
-8-connected neighbors, with measured pixels held fixed; the resulting linear
-system is solved by Gauss-Seidel sweeps in red-black order. Known pixels
-pass through unchanged, and since every sweep replaces an unknown by a
-convex combination of its neighbors, the output obeys the maximum
+8-connected neighbors, with measured pixels held fixed (Levin, Lischinski
+& Weiss, "Colorization using Optimization", SIGGRAPH 2004); the resulting
+linear system is solved by Gauss-Seidel sweeps in red-black order. Known
+pixels pass through unchanged, and since every sweep replaces an unknown
+by a convex combination of its neighbors, the output obeys the maximum
 principle.
+
+Layout. The iterate lives in one flat, row-major buffer: the image inside
+a zero border one pixel wide, (H + 2)(W + 2) values. Neighbor (dy, dx) of
+flat position q is q + dy (W + 2) + dx, so each of the 8 products in the
+neighbor sum W·f is one contiguous 1-D slice times a weight row stored
+once in the same layout (zero on the border columns), computed into
+buffers allocated once (``_Affinity``). A red-black iteration takes two
+products, not three: f does not change between the product that gives
+the residual after the black half-sweep and the next red half-sweep, so
+that one product serves both.
+
+Same bits. Each sum adds its 8 products in OFFSETS order starting from
+w_0 f_0, exactly as a sum of zero-filled shifted copies of the image
+does (the weights are nonnegative and f is positive, so starting from
+w_0 f_0 rather than 0 + w_0 f_0 changes no sign of zero); the residual
+sums the unknowns' squared differences as one array in row-major order.
+Every value is therefore rounded as in the straightforward 2-D
+formulation, which ``tests/test_densify.py`` keeps as its reference.
 """
 
 from __future__ import annotations
@@ -43,16 +62,17 @@ class DensifyResult:
     residual: float
 
 
-def _shift(x: np.ndarray, dy: int, dx: int) -> np.ndarray:
-    """out[i, j] = x[i + dy, j + dx], zero outside the image."""
-    out = np.zeros_like(x)
-    h, w = x.shape
-    ys = slice(max(dy, 0), h + min(dy, 0))
-    xs = slice(max(dx, 0), w + min(dx, 0))
-    yd = slice(max(-dy, 0), h + min(-dy, 0))
-    xd = slice(max(-dx, 0), w + min(-dx, 0))
-    out[yd, xd] = x[ys, xs]
+def _bordered(x: np.ndarray) -> np.ndarray:
+    """x inside a zero border one pixel wide, shape (H + 2, W + 2)."""
+    out = np.zeros((x.shape[0] + 2, x.shape[1] + 2), dtype=x.dtype)
+    out[1:-1, 1:-1] = x
     return out
+
+
+def _neighbor(bordered: np.ndarray, dy: int, dx: int) -> np.ndarray:
+    """Of a zero-bordered image, the (H, W) view out[i, j] = x[i + dy, j + dx]."""
+    h, w = bordered.shape[0] - 2, bordered.shape[1] - 2
+    return bordered[1 + dy:1 + dy + h, 1 + dx:1 + dx + w]
 
 
 def rgb_to_gray(rgb: np.ndarray) -> np.ndarray:
@@ -74,34 +94,64 @@ def build_weights(guide: np.ndarray, config: DensifyConfig) -> np.ndarray:
     if g.ndim != 2:
         raise ValueError(f"guide must be a 2-D grayscale image, got shape {g.shape}")
     h, w = g.shape
-    ones = np.ones_like(g)
-    count = ones.copy()
+    g_border = _bordered(g)
+    g2_border = g_border * g_border
+    inside = _bordered(np.ones_like(g))  # 1 on the image, 0 off it
+    count = np.ones_like(g)
     total = g.copy()
     total_sq = g * g
     for dy, dx in OFFSETS:
-        total += _shift(g, dy, dx)
-        total_sq += _shift(g * g, dy, dx)
-        count += _shift(ones, dy, dx)
+        total += _neighbor(g_border, dy, dx)
+        total_sq += _neighbor(g2_border, dy, dx)
+        count += _neighbor(inside, dy, dx)
     mean = total / count
     var = np.maximum(total_sq / count - mean * mean, 0.0)
     sigma = np.maximum(np.sqrt(var), config.sigma_min)
 
     weights = np.zeros((len(OFFSETS), h, w), dtype=np.float64)
     for k, (dy, dx) in enumerate(OFFSETS):
-        diff = g - _shift(g, dy, dx)
+        diff = g - _neighbor(g_border, dy, dx)
         wk = np.exp(-diff * diff / (2.0 * sigma * sigma))
-        wk *= _shift(ones, dy, dx)  # zero weight toward off-image neighbors
+        wk *= _neighbor(inside, dy, dx)  # zero weight toward off-image neighbors
         weights[k] = wk
     weights /= weights.sum(axis=0, keepdims=True)
     return weights
 
 
-def _neighbor_sum(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """(Wx)(p) = sum_k w_k(p) * x(p + offset_k)."""
-    out = np.zeros_like(x)
-    for k, (dy, dx) in enumerate(OFFSETS):
-        out += weights[k] * _shift(x, dy, dx)
-    return out
+class _Affinity:
+    """f -> W·f, (W·f)(p) = sum_k w_k(p) f(p + offset_k), on the flat layout.
+
+    ``f`` is the flat bordered image. A product has H (W + 2) - 2 values:
+    index i = r (W + 2) + c is pixel (r, c), which is flat position
+    i + W + 3, and the indices with c >= W fall on the border columns
+    between rows, where the weights are zero. The factor of neighbor
+    (dy, dx) is then the slice of f that starts dy (W + 2) + dx further on.
+    """
+
+    def __init__(self, weights: np.ndarray):
+        k, h, w = weights.shape
+        stride = w + 2
+        self.start = stride + 1
+        self.size = h * stride - 2
+        self.weights = self.spread(weights)
+        self.shifts = [self.start + dy * stride + dx for dy, dx in OFFSETS]
+        self._term = np.empty(self.size)
+
+    def spread(self, image: np.ndarray) -> np.ndarray:
+        """An (..., H, W) array in product layout, zero on the border columns."""
+        *lead, h, w = image.shape
+        rows = np.zeros((*lead, h, w + 2), dtype=image.dtype)
+        rows[..., :w] = image
+        return rows.reshape(*lead, -1)[..., :self.size]
+
+    def apply(self, f: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """out = W·f, summed in OFFSETS order from w_0 f_0."""
+        n = self.size
+        np.multiply(self.weights[0], f[self.shifts[0]:self.shifts[0] + n], out=out)
+        for wk, q in zip(self.weights[1:], self.shifts[1:]):
+            np.multiply(wk, f[q:q + n], out=self._term)
+            out += self._term
+        return out
 
 
 def densify(sparse: np.ndarray, guide: np.ndarray,
@@ -123,22 +173,37 @@ def densify(sparse: np.ndarray, guide: np.ndarray,
         raise ValueError("densify requires at least one measured pixel")
     if known.all():
         return DensifyResult(sparse.copy(), True, 0, 0.0)
-    weights = build_weights(gray, config)
+    op = _Affinity(build_weights(gray, config))
     unknown = ~known
-    f = np.where(known, sparse, sparse[known].mean())
-    b = _neighbor_sum(weights, np.where(known, sparse, 0.0))
-    bnorm = max(np.linalg.norm(b[unknown]), 1e-300)
-    yy, xx = np.meshgrid(np.arange(f.shape[0]), np.arange(f.shape[1]), indexing="ij")
-    red = unknown & ((yy + xx) % 2 == 0)
-    black = unknown & ((yy + xx) % 2 == 1)
+    h, w = sparse.shape
+    f_border = _bordered(np.where(known, sparse, sparse[known].mean()))
+    f = f_border.reshape(-1)
+    f_inner = f[op.start:op.start + op.size]  # aligned with a product
+    s = np.empty(op.size)
+    # the unknowns in row-major order, in product layout
+    at_unknown = np.flatnonzero(op.spread(unknown))
+    b = op.apply(_bordered(np.where(known, sparse, 0.0)).reshape(-1), s)
+    bnorm = max(np.linalg.norm(b[at_unknown]), 1e-300)  # b is s, reused below
+    yy, xx = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
+    red = op.spread(unknown & ((yy + xx) % 2 == 0))
+    black = op.spread(unknown & ((yy + xx) % 2 == 1))
+    diff = np.empty(op.size)
+    ru = np.empty(at_unknown.size)
+    # f is unchanged between the product after a black half-sweep and the
+    # next red half-sweep, so one product serves the residual and that sweep
+    op.apply(f, s)
     for it in range(1, config.max_iterations + 1):
-        for mask in (red, black):
-            s = _neighbor_sum(weights, f)
-            f[mask] = s[mask]
-        ru = (f - _neighbor_sum(weights, f))[unknown]
+        np.copyto(f_inner, s, where=red)
+        op.apply(f, s)
+        np.copyto(f_inner, s, where=black)
+        op.apply(f, s)
+        np.subtract(f_inner, s, out=diff)
+        diff *= diff
+        np.take(diff, at_unknown, out=ru)
         # an elementwise sum, not np.linalg.norm: that is a BLAS call, and
         # each one wakes a multi-threaded BLAS whose idle threads then spin
-        residual = np.sqrt((ru * ru).sum()) / bnorm
+        residual = np.sqrt(ru.sum()) / bnorm
         if residual <= config.tolerance:
-            return DensifyResult(f, True, it, residual)
-    return DensifyResult(f, False, config.max_iterations, residual)
+            return DensifyResult(f_border[1:-1, 1:-1].copy(), True, it, residual)
+    return DensifyResult(f_border[1:-1, 1:-1].copy(), False,
+                         config.max_iterations, residual)

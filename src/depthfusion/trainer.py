@@ -279,12 +279,39 @@ def _restore_moments(model: Model, moments: dict, state: OptimState):
             state.v[name[len("adam.v."):]] = arr.astype(np.float32)
 
 
+def _resume_state(path, extra):
+    """(epoch, adam_t) from a resume checkpoint's state, each an int >= 0."""
+    values = []
+    for key in ("epoch", "adam_t"):
+        value = extra.get(key)
+        if type(value) is not int or value < 0:
+            got = "it is missing" if key not in extra else f"got {value!r}"
+            raise ValueError(f"{path}: state.{key} must be an integer >= 0; {got}")
+        values.append(value)
+    return values
+
+
+def _check_resumed_config(path, config: ModelConfig, model_cfg: ModelConfig,
+                          model_keys):
+    """Each field in ``model_keys`` must be the same in ``model_cfg`` as in
+    the config of the checkpoint at ``path``."""
+    for key in model_keys:
+        have, want = getattr(config, key), getattr(model_cfg, key)
+        if have != want:
+            have, want = (getattr(v, "value", v) for v in (have, want))  # enums by value
+            raise ValueError(f"{path}: the checkpoint has config.{key}={have!r}, "
+                             f"but {key}={want!r} was set")
+
+
 def train(train_cfg: TrainConfig, model_cfg: ModelConfig, train_dir,
-          val_dir=None, out_dir="runs/run", resume=None, log_fn=None):
+          val_dir=None, out_dir="runs/run", resume=None, log_fn=None,
+          model_keys=()):
     """Full training run; returns (model, per-epoch log records).
 
     Writes ``log.jsonl`` and one checkpoint per epoch under ``out_dir``.
-    ``resume`` names a checkpoint written by this function.
+    ``resume`` names a checkpoint written by this function; the model then
+    comes from it, and each ``ModelConfig`` field named in ``model_keys``
+    (the settings the caller set) must equal the checkpoint's.
     """
     n_samples = len(D.list_sample_ids(train_dir))
     if not n_samples:
@@ -293,16 +320,17 @@ def train(train_cfg: TrainConfig, model_cfg: ModelConfig, train_dir,
         # batches are full or dropped, so there would be nothing to train on
         raise ValueError(f"training directory {train_dir} holds {n_samples} "
                          f"samples, fewer than batch_size={train_cfg.batch_size}")
-    os.makedirs(out_dir, exist_ok=True)
     start_epoch = 1
     state = OptimState()
     if resume is not None:
         model, extra, moments = load_checkpoint(resume)
-        state.t = int(extra["adam_t"])
-        start_epoch = int(extra["epoch"]) + 1
+        _check_resumed_config(resume, model.config, model_cfg, model_keys)
+        epoch, state.t = _resume_state(resume, extra)
+        start_epoch = epoch + 1
         _restore_moments(model, moments, state)
     else:
         model = build_model(model_cfg)
+    os.makedirs(out_dir, exist_ok=True)
     log = []
 
     log_path = os.path.join(out_dir, "log.jsonl")

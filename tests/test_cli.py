@@ -9,7 +9,8 @@ from depthfusion import geometry as G
 from depthfusion import metrics as M
 from depthfusion.cli import _train_configs, build_parser, depth_colormap, main
 from depthfusion.losses import PixelLossKind
-from depthfusion.model import FusionMode, Model
+from depthfusion.model import (FusionMode, Model, ModelConfig, build_model,
+                               save_checkpoint)
 
 
 @pytest.fixture(scope="module")
@@ -187,6 +188,9 @@ def test_malformed_inputs_exit_one(workspace, capsys):
         (split / "000001_meta.txt").write_bytes(text)
     out = str(bad / "never.pgm")
 
+    def gen(mix):
+        return ["gen-data", "--count", "1", "--out", bad / "gen", "--weather-mix", mix]
+
     def train(config):
         return ["train", "--train-dir", data, "--out", bad / "run",
                 "--config", bad / config]
@@ -230,6 +234,11 @@ def test_malformed_inputs_exit_one(workspace, capsys):
         (train("repeat.cfg"), "repeat.cfg:2: repeated key 'epochs'"),
         (train("fusion.cfg"), "fusion.cfg:1: fusion_mode='zzz' is not one of rgb, concat, add"),
         (train("height.cfg"), "height.cfg: bad config: input 40x160 not divisible by 2^4"),
+        (gen("day:nan"), "--weather-mix: bad entry 'day:nan'"),
+        (gen("day:inf"), "--weather-mix: bad entry 'day:inf'"),
+        (gen("fog:0.5,day:-1"), "--weather-mix: bad entry 'day:-1'"),
+        (gen("day:abc"), "--weather-mix: bad entry 'day:abc'"),
+        (gen("day:1,day:2"), "--weather-mix: 'day' is repeated in entry 'day:2'"),
         (evaluate("noeq"), meta("noeq") + ":2: expected key=value"),
         (evaluate("seed"), meta("seed") + ":2: seed='x' is not an integer"),
         (evaluate("binary"), meta("binary") + ":1: expected key=value"),
@@ -247,6 +256,7 @@ def test_malformed_inputs_exit_one(workspace, capsys):
     assert not (bad / "never.pgm").exists()
     assert not (bad / "run").exists()
     assert not (bad / "eval").exists()
+    assert not (bad / "gen").exists()
 
 
 def test_train_config_file_is_read_and_flags_override_it(tmp_path):
@@ -255,7 +265,8 @@ def test_train_config_file_is_read_and_flags_override_it(tmp_path):
                    "loss_kind=berhu\nw_edge=0.5\nfusion_mode=add\nmodel_seed=7\n")
     args = build_parser().parse_args(["train", "--train-dir", "d", "--config",
                                       str(cfg), "--epochs", "5"])
-    tcfg, mcfg = _train_configs(args)
+    tcfg, mcfg, model_keys = _train_configs(args)
+    assert model_keys == ("fusion_mode", "seed")
     assert (tcfg.epochs, tcfg.batch_size, tcfg.augment) == (5, 4, False)
     assert tcfg.loss_kind is PixelLossKind.BERHU
     assert tcfg.loss_weights.w_edge == 0.5 and tcfg.loss_weights.w_ssim == 1.0
@@ -305,6 +316,57 @@ def test_missing_input_exits_one_naming_the_path(workspace, capsys):
         err = json.loads(capsys.readouterr().err.splitlines()[-1])
         assert err["code"] == 1 and err["error"].startswith(f"{path}: cannot read: ")
     assert not (root / "never").exists() and not (root / "never.pgm").exists()
+
+
+def test_resume_keeps_the_model_settings_that_are_set(workspace, capsys):
+    root, data = workspace["root"], workspace["data"]
+    wide = root / "concat160.ckpt"
+    save_checkpoint(wide, build_model(ModelConfig(fusion_mode=FusionMode.CONCAT_TRUNCATE)),
+                    extra={"epoch": 1, "lr": 1e-4, "adam_t": 2})
+    (root / "rgb.cfg").write_text("fusion_mode=rgb\n")
+    out = ["--train-dir", data, "--out", root / "never_run"]
+    cases = [
+        (["--fusion", "rgb", "--width", "64", "--resume", wide],
+         f"{wide}: the checkpoint has config.input_width=160, but input_width=64 was set"),
+        (["--config", root / "rgb.cfg", "--resume", wide],
+         f"{wide}: the checkpoint has config.fusion_mode='concat', "
+         "but fusion_mode='rgb' was set"),
+    ]
+    for argv, message in cases:
+        assert main(["train"] + [str(a) for a in out + argv]) == 1
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err["code"] == 1 and message in err["error"]
+    assert not (root / "never_run").exists()
+    # settings that are not set follow the checkpoint, and settings equal to
+    # the checkpoint's are accepted: both resume to the uninterrupted run
+    run = workspace["ckpt"].parent
+    for name, flags in (("plain", []),
+                        ("same", ["--fusion", "concat", "--width", "32",
+                                  "--height", "32", "--seed", "0"])):
+        resumed = root / f"resumed_{name}"
+        assert main(["train", "--train-dir", str(data), "--out", str(resumed),
+                     "--epochs", "2", "--resume", str(run / "epoch_001.ckpt")]
+                    + flags) == 0
+        for ckpt in ("epoch_002.ckpt", "last.ckpt"):
+            assert (resumed / ckpt).read_bytes() == (run / ckpt).read_bytes()
+
+
+def test_resume_state_is_checked(workspace, capsys):
+    root, data = workspace["root"], workspace["data"]
+    model = build_model(ModelConfig(input_height=32, input_width=32))
+    cases = [(None, "state.epoch must be an integer >= 0; it is missing"),
+             ({"epoch": "x", "adam_t": 2}, "state.epoch must be an integer >= 0; got 'x'"),
+             ({"epoch": -1, "adam_t": 2}, "state.epoch must be an integer >= 0; got -1"),
+             ({"epoch": 1}, "state.adam_t must be an integer >= 0; it is missing"),
+             ({"epoch": 1, "adam_t": 1.5}, "state.adam_t must be an integer >= 0; got 1.5")]
+    for i, (extra, message) in enumerate(cases):
+        ckpt = root / f"state{i}.ckpt"
+        save_checkpoint(ckpt, model, extra=extra)
+        assert main(["train", "--train-dir", str(data), "--out",
+                     str(root / "never_run"), "--resume", str(ckpt)]) == 1
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err["code"] == 1 and err["error"] == f"{ckpt}: {message}"
+    assert not (root / "never_run").exists()
 
 
 def test_truncated_checkpoint_exits_one(workspace, capsys):

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from depthfusion import data as D
 from depthfusion.densify import (OFFSETS, DensifyConfig, build_weights,
                                  densify, rgb_to_gray)
 
@@ -141,3 +144,97 @@ def test_all_known_is_identity():
     result = densify(sparse, rng.uniform(0, 1, size=(4, 4)))
     np.testing.assert_array_equal(result.depth, sparse)
     assert result.converged
+
+
+def _shift(x, dy, dx):
+    """out[i, j] = x[i + dy, j + dx], zero outside the image."""
+    out = np.zeros_like(x)
+    h, w = x.shape
+    ys = slice(max(dy, 0), h + min(dy, 0))
+    xs = slice(max(dx, 0), w + min(dx, 0))
+    yd = slice(max(-dy, 0), h + min(-dy, 0))
+    xd = slice(max(-dx, 0), w + min(-dx, 0))
+    out[yd, xd] = x[ys, xs]
+    return out
+
+
+def reference_weights(g, config):
+    ones = np.ones_like(g)
+    count, total, total_sq = ones.copy(), g.copy(), g * g
+    for dy, dx in OFFSETS:
+        total += _shift(g, dy, dx)
+        total_sq += _shift(g * g, dy, dx)
+        count += _shift(ones, dy, dx)
+    mean = total / count
+    sigma = np.maximum(np.sqrt(np.maximum(total_sq / count - mean * mean, 0.0)),
+                       config.sigma_min)
+    weights = np.zeros((len(OFFSETS),) + g.shape)
+    for k, (dy, dx) in enumerate(OFFSETS):
+        diff = g - _shift(g, dy, dx)
+        weights[k] = np.exp(-diff * diff / (2.0 * sigma * sigma)) * _shift(ones, dy, dx)
+    weights /= weights.sum(axis=0, keepdims=True)
+    return weights
+
+
+def reference_densify(sparse, guide, config):
+    """The solver on 2-D images: zero-filled shifted copies, three neighbor
+    sums per iteration (red sweep, black sweep, residual)."""
+    def neighbor_sum(x):
+        out = np.zeros_like(x)
+        for k, (dy, dx) in enumerate(OFFSETS):
+            out += weights[k] * _shift(x, dy, dx)
+        return out
+
+    known = sparse > 0
+    unknown = ~known
+    weights = reference_weights(rgb_to_gray(guide), config)
+    f = np.where(known, sparse, sparse[known].mean())
+    b = neighbor_sum(np.where(known, sparse, 0.0))
+    bnorm = max(np.linalg.norm(b[unknown]), 1e-300)
+    yy, xx = np.indices(f.shape)
+    red = unknown & ((yy + xx) % 2 == 0)
+    black = unknown & ((yy + xx) % 2 == 1)
+    for it in range(1, config.max_iterations + 1):
+        for mask in (red, black):
+            f[mask] = neighbor_sum(f)[mask]
+        ru = (f - neighbor_sum(f))[unknown]
+        residual = np.sqrt((ru * ru).sum()) / bnorm
+        if residual <= config.tolerance:
+            return f, True, it, residual
+    return f, False, config.max_iterations, residual
+
+
+def assert_same_bits(sparse, guide, config):
+    result = densify(sparse, guide, config)
+    depth, converged, iterations, residual = reference_densify(sparse, guide, config)
+    assert result.depth.shape == depth.shape
+    assert result.depth.tobytes() == depth.tobytes()
+    assert (result.converged, result.iterations) == (converged, iterations)
+    assert np.float64(result.residual).tobytes() == np.float64(residual).tobytes()
+    return converged
+
+
+def test_same_bits_as_shifted_copy_reference():
+    rng = np.random.default_rng(14)
+    shapes = [(1, 7), (9, 1), (2, 2), (1, 2), (5, 8), (11, 6)]
+    outcomes = set()
+    for i in range(60):
+        h, w = shapes[i % len(shapes)]
+        sparse = np.zeros((h, w))
+        # a single known pixel every third instance
+        n = 1 if i % 3 == 0 else int(rng.integers(1, h * w))
+        sparse.flat[rng.choice(h * w, size=n, replace=False)] = rng.uniform(1.0, 80.0, n)
+        guide = rng.uniform(0, 1, size=(h, w, 3) if i % 2 else (h, w))
+        config = DensifyConfig(max_iterations=int(rng.choice([1, 2, 3, 40, 3000])),
+                               tolerance=float(rng.choice([1e-3, 1e-6, 1e-9])))
+        np.testing.assert_array_equal(build_weights(rgb_to_gray(guide), config),
+                                      reference_weights(rgb_to_gray(guide), config))
+        outcomes.add(assert_same_bits(sparse, guide, config))
+    assert outcomes == {True, False}
+
+
+def test_same_bits_as_reference_on_a_generated_frame():
+    frame = D.generate_sample(replace(D.SceneSpec(), weather="fog"), 102)
+    assert frame.sparse.shape == (96, 160)
+    assert not assert_same_bits(frame.sparse, frame.rgb,
+                                DensifyConfig(max_iterations=300))
