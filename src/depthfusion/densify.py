@@ -8,28 +8,34 @@ pixels pass through unchanged, and since every sweep replaces an unknown
 by a convex combination of its neighbors, the output obeys the maximum
 principle.
 
-Layout. The iterate lives in one flat, row-major buffer: the image inside
-a zero border one pixel wide, (H + 2)(W + 2) values. Neighbor (dy, dx) of
-flat position q is q + dy (W + 2) + dx, so each of the 8 products in the
-neighbor sum W·f is one contiguous 1-D slice times a weight row stored
-once in the same layout (zero on the border columns), computed into
-buffers allocated once (``_Affinity``). A red-black iteration takes two
-products, not three: f does not change between the product that gives
-the residual after the black half-sweep and the next red half-sweep, so
-that one product serves both.
+Layout. The image sits inside a zero border on a flat, row-major grid
+whose row stride S is odd: W + 2 when W is odd, W + 3 (one more zero
+column) when W is even. Flat position q = (y + 1) S + x + 1 then has the
+parity of the pixel's color (y + x) mod 2, and the iterate is kept as two
+contiguous arrays, one per color: flat positions 2 j (red) and 2 j + 1
+(black). Neighbor (dy, dx) of a color-c pixel at index j is element
+j + (c + o) // 2 of color (c + o) mod 2, o = dy S + dx, so each of the 8
+factors of the neighbor sum W·f over one color is a contiguous
+half-length slice, times that color's (8, n_c) weights, which are zero on
+the border columns (``_RedBlackAffinity``). An iteration takes three
+half-size products: the red half-sweep uses the red product the previous
+residual computed, f being unchanged in between; the black half-sweep
+takes one black product; the residual takes one of each.
 
-Same bits. Each sum adds its 8 products in OFFSETS order starting from
-w_0 f_0, exactly as a sum of zero-filled shifted copies of the image
-does (the weights are nonnegative and f is positive, so starting from
-w_0 f_0 rather than 0 + w_0 f_0 changes no sign of zero); the residual
-sums the unknowns' squared differences as one array in row-major order.
-Every value is therefore rounded as in the straightforward 2-D
-formulation, which ``tests/test_densify.py`` keeps as its reference.
+Same bits. Each pixel's sum adds its 8 products in OFFSETS order starting
+from w_0 f_0, exactly as a sum of zero-filled shifted copies of the image
+does (the weights and f are nonnegative, so starting from w_0 f_0 rather
+than 0 + w_0 f_0 changes no sign of zero); the residual gathers the
+unknowns' squared differences from both colors into one array in
+row-major order through an index computed once, and sums it. Every value
+is therefore rounded as in the straightforward 2-D formulation, which
+``tests/test_densify.py`` keeps as its reference.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,11 +53,17 @@ class DensifyConfig:
     tolerance: float = 1e-6
 
     def __post_init__(self):
-        if not 0 < self.tolerance < math.inf:
-            raise ValueError(f"tolerance must be positive and finite, "
-                             f"got {self.tolerance}")
-        if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
+        for name in ("sigma_min", "tolerance"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        if (isinstance(self.max_iterations, bool)
+                or not isinstance(self.max_iterations, numbers.Integral)
+                or self.max_iterations < 1):
+            raise ValueError(f"max_iterations must be an integer >= 1, "
+                             f"got {self.max_iterations!r}")
 
 
 @dataclass
@@ -73,6 +85,24 @@ def _neighbor(bordered: np.ndarray, dy: int, dx: int) -> np.ndarray:
     """Of a zero-bordered image, the (H, W) view out[i, j] = x[i + dy, j + dx]."""
     h, w = bordered.shape[0] - 2, bordered.shape[1] - 2
     return bordered[1 + dy:1 + dy + h, 1 + dx:1 + dx + w]
+
+
+def _check_input(sparse: np.ndarray, guide: np.ndarray):
+    """Reject rasters and guides the solver would turn into NaN or misread."""
+    bad = np.count_nonzero(~np.isfinite(sparse))
+    if bad:
+        raise ValueError(f"sparse has {bad} non-finite values (NaN or inf); "
+                         f"0 marks a missing pixel")
+    bad = np.count_nonzero(sparse < 0)
+    if bad:
+        raise ValueError(f"sparse has {bad} negative values; depths are "
+                         f"positive and 0 marks a missing pixel")
+    if not (guide.ndim == 2 or (guide.ndim == 3 and guide.shape[2] == 3)):
+        raise ValueError(f"guide must be (H, W) gray or (H, W, 3) RGB, "
+                         f"got shape {guide.shape}")
+    bad = np.count_nonzero(~np.isfinite(guide))
+    if bad:
+        raise ValueError(f"guide has {bad} non-finite values (NaN or inf)")
 
 
 def rgb_to_gray(rgb: np.ndarray) -> np.ndarray:
@@ -118,39 +148,71 @@ def build_weights(guide: np.ndarray, config: DensifyConfig) -> np.ndarray:
     return weights
 
 
-class _Affinity:
-    """f -> W·f, (W·f)(p) = sum_k w_k(p) f(p + offset_k), on the flat layout.
+class _RedBlackAffinity:
+    """f -> W·f on the pixels of one color, (W·f)(p) = sum_k w_k(p) f(p + offset_k).
 
-    ``f`` is the flat bordered image. A product has H (W + 2) - 2 values:
-    index i = r (W + 2) + c is pixel (r, c), which is flat position
-    i + W + 3, and the indices with c >= W fall on the border columns
-    between rows, where the weights are zero. The factor of neighbor
-    (dy, dx) is then the slice of f that starts dy (W + 2) + dx further on.
+    ``f`` is an image in split layout: the pair of color halves that
+    ``split`` returns. The product for color c has one value for each
+    position of that color from the first pixel (flat S + 1) to the last
+    (flat H S + W): index i is flat position S + 1 + c + 2 i, and the
+    indices that fall on border columns have zero weights. Neighbor
+    (dy, dx) of flat position q is q + o, o = dy S + dx, which is element
+    (c + o) // 2 past q's own index of half (c + o) mod 2; so the factor
+    of each neighbor is one contiguous slice of one half.
     """
 
     def __init__(self, weights: np.ndarray):
-        k, h, w = weights.shape
-        stride = w + 2
-        self.start = stride + 1
-        self.size = h * stride - 2
-        self.weights = self.spread(weights)
-        self.shifts = [self.start + dy * stride + dx for dy, dx in OFFSETS]
-        self._term = np.empty(self.size)
+        h, w = self.shape = weights.shape[1:]
+        self.stride = w + 2 if w % 2 else w + 3  # odd
+        self.start = (self.stride + 1) // 2  # index of flat S + 1 in either half
+        span = (h - 1) * self.stride + w  # flat S + 1 through H S + W
+        self.sizes = ((span + 1) // 2, span // 2)
+        # one map at a time, so that no (8, H + 2, S) padded copy is made
+        split = [self.split(wk) for wk in weights]
+        self.weights = [[self.inner(halves, c) for halves in split] for c in (0, 1)]
+        self.factors = [[((c + o) % 2, self.start + (c + o) // 2)
+                         for o in (dy * self.stride + dx for dy, dx in OFFSETS)]
+                        for c in (0, 1)]
+        self._term = np.empty(self.sizes[0])
 
-    def spread(self, image: np.ndarray) -> np.ndarray:
-        """An (..., H, W) array in product layout, zero on the border columns."""
-        *lead, h, w = image.shape
-        rows = np.zeros((*lead, h, w + 2), dtype=image.dtype)
-        rows[..., :w] = image
-        return rows.reshape(*lead, -1)[..., :self.size]
+    def split(self, image: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """An (H, W) image on the zero-bordered grid of row stride S, as its
+        two color halves: flat positions 2 j and 2 j + 1."""
+        h, w = self.shape
+        grid = np.zeros((h + 2, self.stride), dtype=image.dtype)
+        grid[1:-1, 1:w + 1] = image
+        flat = grid.reshape(-1)
+        return flat[0::2].copy(), flat[1::2].copy()
 
-    def apply(self, f: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """out = W·f, summed in OFFSETS order from w_0 f_0."""
-        n = self.size
-        np.multiply(self.weights[0], f[self.shifts[0]:self.shifts[0] + n], out=out)
-        for wk, q in zip(self.weights[1:], self.shifts[1:]):
-            np.multiply(wk, f[q:q + n], out=self._term)
-            out += self._term
+    def join(self, halves: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        """The (H, W) image of a split one."""
+        h, w = self.shape
+        flat = np.empty((h + 2) * self.stride, dtype=halves[0].dtype)
+        flat[0::2], flat[1::2] = halves
+        return flat.reshape(h + 2, self.stride)[1:-1, 1:w + 1].copy()
+
+    def inner(self, halves: tuple[np.ndarray, np.ndarray], c: int) -> np.ndarray:
+        """The view of half c aligned with a product for color c."""
+        return halves[c][self.start:self.start + self.sizes[c]]
+
+    def gather_index(self, mask: np.ndarray) -> np.ndarray:
+        """Where mask's pixels lie, in row-major order, in the two products
+        laid end to end (color 0 first)."""
+        y, x = np.nonzero(mask)
+        i = y * self.stride + x  # flat position less the first pixel's
+        return i // 2 + (i % 2) * self.sizes[0]
+
+    def apply(self, f: tuple[np.ndarray, np.ndarray], c: int,
+              out: np.ndarray) -> np.ndarray:
+        """out = W·f on color c, summed in OFFSETS order from w_0 f_0."""
+        n = self.sizes[c]
+        term = self._term[:n]
+        weights = self.weights[c]
+        (half, q), *rest = self.factors[c]
+        np.multiply(weights[0], f[half][q:q + n], out=out)
+        for wk, (half, q) in zip(weights[1:], rest):
+            np.multiply(wk, f[half][q:q + n], out=term)
+            out += term
         return out
 
 
@@ -158,12 +220,14 @@ def densify(sparse: np.ndarray, guide: np.ndarray,
             config: DensifyConfig | None = None) -> DensifyResult:
     """Fill every zero pixel of a sparse depth raster guided by an RGB image.
 
-    Measured (nonzero) pixels are reproduced exactly; the rest solve the
+    Measured (positive) pixels are reproduced exactly; the rest solve the
     affinity-averaging system. RGB guides are converted to grayscale with
     (0.299, 0.587, 0.114) weights.
     """
     config = config or DensifyConfig()
     sparse = np.asarray(sparse, dtype=np.float64)
+    guide = np.asarray(guide, dtype=np.float64)
+    _check_input(sparse, guide)
     gray = rgb_to_gray(guide)
     if gray.shape != sparse.shape:
         raise ValueError(
@@ -173,37 +237,35 @@ def densify(sparse: np.ndarray, guide: np.ndarray,
         raise ValueError("densify requires at least one measured pixel")
     if known.all():
         return DensifyResult(sparse.copy(), True, 0, 0.0)
-    op = _Affinity(build_weights(gray, config))
+    op = _RedBlackAffinity(build_weights(gray, config))
     unknown = ~known
-    h, w = sparse.shape
-    f_border = _bordered(np.where(known, sparse, sparse[known].mean()))
-    f = f_border.reshape(-1)
-    f_inner = f[op.start:op.start + op.size]  # aligned with a product
-    s = np.empty(op.size)
-    # the unknowns in row-major order, in product layout
-    at_unknown = np.flatnonzero(op.spread(unknown))
-    b = op.apply(_bordered(np.where(known, sparse, 0.0)).reshape(-1), s)
-    bnorm = max(np.linalg.norm(b[at_unknown]), 1e-300)  # b is s, reused below
-    yy, xx = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
-    red = op.spread(unknown & ((yy + xx) % 2 == 0))
-    black = op.spread(unknown & ((yy + xx) % 2 == 1))
-    diff = np.empty(op.size)
+    f = op.split(np.where(known, sparse, sparse[known].mean()))
+    f_inner = [op.inner(f, c) for c in (0, 1)]  # aligned with a product
+    sweep = [op.inner(op.split(unknown), c) for c in (0, 1)]
+    s = [np.empty(n) for n in op.sizes]
+    # both colors' differences laid end to end, and the unknowns among them
+    # in row-major order
+    d = np.empty(sum(op.sizes))
+    diff = (d[:op.sizes[0]], d[op.sizes[0]:])
+    at_unknown = op.gather_index(unknown)
+    fixed = op.split(np.where(known, sparse, 0.0))
+    for c in (0, 1):
+        op.apply(fixed, c, diff[c])  # b = W·(known values), in d for now
+    bnorm = max(np.linalg.norm(d[at_unknown]), 1e-300)
     ru = np.empty(at_unknown.size)
-    # f is unchanged between the product after a black half-sweep and the
-    # next red half-sweep, so one product serves the residual and that sweep
-    op.apply(f, s)
+    # f is unchanged between the red product for the residual and the next
+    # red half-sweep, so that one product serves both
+    op.apply(f, 0, s[0])
     for it in range(1, config.max_iterations + 1):
-        np.copyto(f_inner, s, where=red)
-        op.apply(f, s)
-        np.copyto(f_inner, s, where=black)
-        op.apply(f, s)
-        np.subtract(f_inner, s, out=diff)
-        diff *= diff
-        np.take(diff, at_unknown, out=ru)
+        np.copyto(f_inner[0], s[0], where=sweep[0])
+        np.copyto(f_inner[1], op.apply(f, 1, s[1]), where=sweep[1])
+        for c in (0, 1):
+            np.subtract(f_inner[c], op.apply(f, c, s[c]), out=diff[c])
+        d *= d
+        np.take(d, at_unknown, out=ru)
         # an elementwise sum, not np.linalg.norm: that is a BLAS call, and
         # each one wakes a multi-threaded BLAS whose idle threads then spin
         residual = np.sqrt(ru.sum()) / bnorm
         if residual <= config.tolerance:
-            return DensifyResult(f_border[1:-1, 1:-1].copy(), True, it, residual)
-    return DensifyResult(f_border[1:-1, 1:-1].copy(), False,
-                         config.max_iterations, residual)
+            return DensifyResult(op.join(f), True, it, residual)
+    return DensifyResult(op.join(f), False, config.max_iterations, residual)

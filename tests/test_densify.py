@@ -136,6 +136,47 @@ def test_config_validation():
             DensifyConfig(tolerance=tolerance)
     with pytest.raises(ValueError):
         DensifyConfig(max_iterations=0)
+    for sigma_min in (float("nan"), float("inf"), 0.0, -1.0, "1e-4", None):
+        with pytest.raises(ValueError, match="sigma_min"):
+            DensifyConfig(sigma_min=sigma_min)
+    for max_iterations in (2.5, float("inf"), True, "10", -3):
+        with pytest.raises(ValueError, match="max_iterations"):
+            DensifyConfig(max_iterations=max_iterations)
+    for tolerance in ("1e-6", None, True):
+        with pytest.raises(ValueError, match="tolerance"):
+            DensifyConfig(tolerance=tolerance)
+    DensifyConfig(sigma_min=np.float64(1e-3), max_iterations=np.int64(3),
+                  tolerance=np.float32(1e-3))
+
+
+def _bad_input(case):
+    rng = np.random.default_rng(6)
+    sparse = np.zeros((5, 6))
+    sparse[1, 2], sparse[3, 4] = 4.0, 9.0
+    guide = rng.uniform(0, 1, size=(5, 6, 3))
+    if case == "nan sparse":
+        sparse[0, 0] = np.nan
+    elif case == "inf sparse":
+        sparse[2, 2] = np.inf
+    elif case == "negative sparse":
+        sparse[4, 5] = -2.0
+    elif case == "nan guide":
+        guide[2, 3, 1] = np.nan
+    elif case == "4-channel guide":
+        guide = rng.uniform(0, 1, size=(5, 6, 4))
+    elif case == "1-channel guide":
+        guide = rng.uniform(0, 1, size=(5, 6, 1))
+    return sparse, guide
+
+
+@pytest.mark.parametrize("case,name", [
+    ("nan sparse", "sparse"), ("inf sparse", "sparse"),
+    ("negative sparse", "sparse"), ("nan guide", "guide"),
+    ("4-channel guide", "guide"), ("1-channel guide", "guide")])
+def test_rejects_bad_input(case, name):
+    sparse, guide = _bad_input(case)
+    with pytest.raises(ValueError, match=name):
+        densify(sparse, guide)
 
 
 def test_all_known_is_identity():
@@ -236,5 +277,62 @@ def test_same_bits_as_shifted_copy_reference():
 def test_same_bits_as_reference_on_a_generated_frame():
     frame = D.generate_sample(replace(D.SceneSpec(), weather="fog"), 102)
     assert frame.sparse.shape == (96, 160)
+    assert not assert_same_bits(frame.sparse, frame.rgb,
+                                DensifyConfig(max_iterations=300))
+
+
+def _random_instance(rng, h, w, n_known):
+    sparse = np.zeros((h, w))
+    sparse.flat[rng.choice(h * w, size=n_known, replace=False)] = \
+        rng.uniform(1.0, 80.0, n_known)
+    return sparse, rng.uniform(0, 1, size=(h, w, 3))
+
+
+@pytest.mark.parametrize("shape", [(16, 24), (17, 23), (16, 23), (17, 24)])
+def test_same_bits_at_both_width_parities(shape):
+    # even widths take one more zero column so that the row stride is odd
+    rng = np.random.default_rng(shape[0] * 100 + shape[1])
+    sparse, guide = _random_instance(rng, *shape, 12)
+    assert not assert_same_bits(sparse, guide, DensifyConfig(max_iterations=60))
+    assert assert_same_bits(sparse, guide, DensifyConfig(tolerance=1e-3))
+
+
+def test_same_bits_on_single_row_and_column_grids():
+    rng = np.random.default_rng(15)
+    for shape in [(1, 2), (1, 9), (1, 10), (2, 1), (9, 1), (10, 1)]:
+        for n_known in sorted({1, shape[0] * shape[1] - 1}):
+            sparse, guide = _random_instance(rng, *shape, n_known)
+            for iterations in (1, 5, 500):
+                assert_same_bits(sparse, guide,
+                                 DensifyConfig(max_iterations=iterations))
+    # a 1x1 grid has no unknown to solve for
+    sparse = np.array([[3.0]])
+    result = densify(sparse, np.array([[0.5]]))
+    assert result.converged and result.depth.tobytes() == sparse.tobytes()
+
+
+@pytest.mark.parametrize("color", [0, 1])
+def test_same_bits_when_every_unknown_has_one_color(color):
+    rng = np.random.default_rng(16 + color)
+    h, w = 7, 8
+    yy, xx = np.indices((h, w))
+    sparse = np.where((yy + xx) % 2 == color, 0.0, rng.uniform(1.0, 80.0, (h, w)))
+    guide = rng.uniform(0, 1, size=(h, w))
+    for iterations in (1, 3, 200):
+        assert_same_bits(sparse, guide, DensifyConfig(max_iterations=iterations))
+
+
+def test_same_bits_with_known_first_and_last_pixels():
+    rng = np.random.default_rng(18)
+    for shape in [(6, 9), (6, 10), (5, 5)]:
+        sparse = np.zeros(shape)
+        sparse[0, 0], sparse[-1, -1] = 12.0, 47.0
+        guide = rng.uniform(0, 1, size=(*shape, 3))
+        for iterations in (1, 7, 400):
+            assert_same_bits(sparse, guide, DensifyConfig(max_iterations=iterations))
+
+
+def test_same_bits_as_reference_on_a_day_frame():
+    frame = D.generate_sample(replace(D.SceneSpec(), weather="day"), 101)
     assert not assert_same_bits(frame.sparse, frame.rgb,
                                 DensifyConfig(max_iterations=300))
