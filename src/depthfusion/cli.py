@@ -143,7 +143,7 @@ def cmd_train(args):
 
 
 def cmd_predict(args):
-    model, _, _ = load_checkpoint(args.checkpoint)
+    model = load_checkpoint(args.checkpoint)[0]  # the Adam moments are freed at once
     rgb = D.load_ppm(args.rgb)
     sparse = D.load_depth_pgm(args.sparse) if args.sparse else None
     mode = model.config.fusion_mode
@@ -164,7 +164,7 @@ def cmd_predict(args):
 
 
 def cmd_eval(args):
-    model, _, _ = load_checkpoint(args.checkpoint)
+    model = load_checkpoint(args.checkpoint)[0]  # the Adam moments are freed at once
     divisor = (M.Divisor.GROUNDTRUTH if args.ard_divisor == "gt"
                else M.Divisor.PREDICTION)
     ids = D.list_sample_ids(args.split_dir)

@@ -360,9 +360,9 @@ def concat_channels(a: Tensor, b: Tensor) -> Tensor:
 # cap on the shifted-row stack of a conv2d backward pass; larger stacks are
 # built and multiplied in column blocks. Stacks above glibc's 32 MB mmap
 # threshold would map and fault fresh pages on every call, and a train step
-# runs one backward pass per core at once: on 2 vCPUs a 96x160 batch-2 step
-# peaked at 237 MB of RSS with 16 MB blocks and at 206 MB with 4 MB blocks,
-# in the same time per step.
+# runs one backward pass per core at once: on 2 vCPUs 96x160 batch-2
+# training peaked at 209 MB of RSS with 16 MB blocks and at 177 MB with 4 MB
+# blocks, and was no faster per step with the larger blocks.
 _ROW_BLOCK_BYTES = 4 << 20
 
 
@@ -372,7 +372,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor,
 
     Implicit GEMM (the accumulating "kn2row" form of Anderson et al.,
     "Low-memory GEMM-based convolution algorithms for deep neural
-    networks", 2017). The input is padded once into a (channels, N*Hp*Wp)
+    networks", 2017). The input is padded into a (channels, N*Hp*Wp)
     matrix, the batch folded into the pixel axis, so kernel tap (i, j)
     multiplies the view starting at column i*Wp + j; outputs are computed
     on the padded grid and cropped. For stride s the padded image is first
@@ -381,8 +381,11 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor,
     BLAS: the first tap's GEMM writes the output and the others add into it
     (beta = 1), with no temporary (``blas.gemm``; numpy's matmul plus +=
     where the loaded BLAS has no cblas ?gemm, and for a one-channel
-    output, whose product numpy computes with ?gemv). The backward pass
-    keeps only the padded input.
+    output, whose product numpy computes with ?gemv). The graph keeps no
+    padded copy: backward pads the input again, from ``x.data``, only when
+    the kernel needs a gradient (Chen et al., "Training Deep Nets with
+    Sublinear Memory Cost", 2016: one more padding pass per conv for about a
+    third less graph memory at 96x160).
     """
     if len(x.shape) != 4 or len(kernel.shape) != 4:
         raise ShapeError(
@@ -406,11 +409,16 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor,
     wo = (w + 2 * p - kw) // s + 1
     hs, ws = -(-(h + 2 * p) // s), -(-(w + 2 * p) // s)  # phase image extents
     m = n * hs * ws
-    # xf[a*s + b] is the (cin, m) matrix of phase (a, b); a view when s == 1
-    xp = np.zeros((cin, n, hs * s, ws * s), dtype=dt)
-    xp[:, :, p:p + h, p:p + w] = x.data.transpose(1, 0, 2, 3)
-    xf = xp.reshape(cin, n, hs, s, ws, s).transpose(3, 5, 0, 1, 2, 4)
-    xf = xf.reshape(s * s, cin, m)
+    xd = x.data
+
+    def padded():
+        """xf[a*s + b], the (cin, m) matrix of phase (a, b) of the padded
+        input; built again in backward rather than kept in the graph"""
+        xp = np.zeros((cin, n, hs * s, ws * s), dtype=dt)
+        xp[:, :, p:p + h, p:p + w] = xd.transpose(1, 0, 2, 3)
+        xf = xp.reshape(cin, n, hs, s, ws, s).transpose(3, 5, 0, 1, 2, 4)
+        return xf.reshape(s * s, cin, m)  # a view of xp when s == 1
+
     # tap (i, j) reads phase a*s + b = (i % s)*s + j % s at column offset
     # (i // s)*ws + j // s; taps[t0:t1] are the taps of each phase
     taps, phases, ki, kj = [], [], [], []
@@ -429,8 +437,10 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor,
 
     # one GEMM per tap on shifted views, which BLAS reads in place
     y = np.empty((cout, m), dtype=dt)  # columns from `cols` on are never read
+    xf = padded()
     for t, (blk, o) in enumerate(taps):
         gemm(kt[t], xf[blk, :, o:o + cols], y[:, :cols], accumulate=t > 0)
+    del xf
     data = np.empty((n, cout, ho, wo), dtype=dt)
     np.add(y.reshape(cout, n, hs, ws)[:, :, :ho, :wo].transpose(1, 0, 2, 3),
            bias.data.reshape(1, cout, 1, 1), out=data)
@@ -443,12 +453,14 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor,
         gz = np.zeros((cout, d + m), dtype=dt)
         gz[:, d:].reshape(cout, n, hs, ws)[:, :, :ho, :wo] = g.transpose(1, 0, 2, 3)
         # gk[t*cout + c] is the gradient of kt[t, c]
-        gk = np.zeros((len(taps) * cout, cin), dtype=dt) if kernel.requires_grad else None
-        gx = None
+        gk = xf = gx = None
+        if kernel.requires_grad:
+            gk = np.zeros((len(taps) * cout, cin), dtype=dt)
+            xf = padded()
         if x.requires_grad:
             # the GEMMs overwrite every column of each phase that has a tap;
             # a 1x1 kernel at stride 2 leaves three phases unwritten
-            gx = (np.empty_like if len(phases) == s * s else np.zeros_like)(xf)
+            gx = (np.empty if len(phases) == s * s else np.zeros)((s * s, cin, m), dtype=dt)
         # input pixel q meets the gradient of output pixel q - o through
         # tap o, which is column d - o + q of gz; both gradients are one
         # GEMM per phase against this stack of shifted rows, built for at

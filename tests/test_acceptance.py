@@ -5,6 +5,9 @@ Each test prints exactly one `[criterion N] PASS/FAIL` line (visible with
 reproducibility rerun dominate the runtime.
 """
 
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -29,18 +32,24 @@ def report(n, passed, detail):
 
 # -- experiments run once per session, twice for the reproducibility check --
 
+def _run_twice(name, root):
+    """Both runs of an experiment at once, in two fresh processes: a fog
+    run is Python-bound and leaves a core idle, and even the BLAS-bound
+    overfit4 pair finished sooner than two runs in a row."""
+    with ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("spawn")) as pool:
+        runs = [pool.submit(run_experiment, name, root / f"run{i}", seed=0)
+                for i in range(2)]
+        return [run.result() for run in runs], root
+
+
 @pytest.fixture(scope="session")
 def overfit_runs(tmp_path_factory):
-    root = tmp_path_factory.mktemp("overfit4")
-    return [run_experiment("overfit4", root / f"run{i}", seed=0)
-            for i in range(2)], root
+    return _run_twice("overfit4", tmp_path_factory.mktemp("overfit4"))
 
 
 @pytest.fixture(scope="session")
 def fusion_runs(tmp_path_factory):
-    root = tmp_path_factory.mktemp("fog")
-    return [run_experiment("fusion-vs-rgb-fog", root / f"run{i}", seed=0)
-            for i in range(2)], root
+    return _run_twice("fusion-vs-rgb-fog", tmp_path_factory.mktemp("fog"))
 
 
 def test_criterion_01_gradient_suite():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -301,6 +303,24 @@ def test_conv2d_backward_in_column_blocks(monkeypatch, block_bytes,
     want = _conv_reference(x.data, kern.data, b.data, stride, pad, g)
     for got, ref in zip((grads[x], grads[kern], grads[b]), want[1:]):
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_conv2d_graph_keeps_no_padded_input():
+    # backward pads the input again, so a graph node holds its output and
+    # the tap-major kernel copy; the padded input (about 1 MB) is not kept
+    rng = np.random.default_rng(0)
+    x = t(rng.normal(size=(1, 16, 96, 160)), dtype=np.float32)
+    k = t(rng.normal(size=(16, 16, 3, 3)), dtype=np.float32)
+    b = t(np.zeros(16), dtype=np.float32)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = T.conv2d(x, k, b, stride=1, padding=1)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert out.requires_grad
+    assert grown < out.data.nbytes + k.data.nbytes + (64 << 10), grown
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

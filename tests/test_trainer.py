@@ -303,6 +303,44 @@ def test_validation_log_does_not_depend_on_blas_thread_count(tmp_path):
     assert logs[0] == logs[1]
 
 
+REUSE_SCRIPT = """
+import pathlib, resource, sys
+import numpy as np
+from depthfusion import data as D, trainer
+from depthfusion.model import ModelConfig, build_model
+spec = D.SceneSpec(width=64, height=32)
+samples = [D.generate_sample(spec, seed) for seed in range(2)]
+model = build_model(ModelConfig(input_height=32, input_width=64, base_channels=4,
+                                encoder_stages=2))
+trainer.train_step(model, samples, trainer.TrainConfig(), trainer.OptimState())
+
+def free_on_worker(k):
+    block = np.ones(16 << 20, dtype=np.uint8)
+    del block
+
+with trainer._per_sample(1) as run:
+    run(free_on_worker)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+block = np.ones(16 << 20, dtype=np.uint8)
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+pathlib.Path(sys.argv[1]).write_text(str(faults))
+"""
+
+
+@needs_blas_control
+def test_threads_reuse_each_others_freed_memory(tmp_path):
+    # after a train step every thread allocates from one malloc arena, so a
+    # block a worker freed serves the calling thread without faulting in
+    # fresh pages; with an arena per thread it took hundreds of faults. A
+    # fresh process, so that no earlier thread holds an arena of its own
+    if not trainer._keep_freed_memory():
+        pytest.skip("no mallopt in this process")
+    out = tmp_path / "faults.txt"
+    _run_at_blas_threads("2", REUSE_SCRIPT, out)
+    faults = int(out.read_text())
+    assert faults < 64, faults
+
+
 def test_warm_train_steps_keep_freed_memory():
     # glibc's default thresholds hand a step's freed multi-MB buffers back to
     # the kernel, and the next step faults them in again: over 20k minor
