@@ -1,8 +1,9 @@
 """The OpenBLAS that numpy loaded, called directly through ctypes: its
-thread-count control, and a GEMM that can add its product into its output.
+thread-count control, and the sum of shifted GEMMs that conv2d's forward
+pass is made of.
 
 The library is found once, in /proc/self/maps (Linux). Where it is not
-found, ``threads()`` is None and ``gemm`` computes with numpy instead.
+found, ``threads()`` is None and ``tap_gemm`` computes with numpy instead.
 """
 
 from __future__ import annotations
@@ -14,14 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["gemm", "threads"]
+__all__ = ["tap_gemm", "threads"]
 
 # the symbol names of numpy 2 wheels, numpy 1 wheels and a system OpenBLAS:
 # (thread-control prefix, cblas prefix, suffix, BLAS integer type)
 _NAMES = (("scipy_openblas_", "scipy_cblas_", "64_", ctypes.c_int64),
           ("openblas_", "cblas_", "64_", ctypes.c_int64),
           ("openblas_", "cblas_", "", ctypes.c_int))
-_ROW_MAJOR, _NO_TRANS, _TRANS = 101, 111, 112
+_ROW_MAJOR, _NO_TRANS = 101, 111
 
 
 @dataclass(frozen=True)
@@ -78,52 +79,46 @@ def threads():
     return None if lib is None else (lib.get_threads, lib.set_threads)
 
 
-def _layout(a: np.ndarray):
-    """(transpose flag, leading dimension) under which row-major BLAS reads
-    the 2-D view ``a`` in place, or None when it cannot."""
-    rows, cols = a.shape
-    size = a.itemsize
-    rs, cs = a.strides
-    if rs % size or cs % size:
-        return None
-    rs, cs = rs // size, cs // size
-    if (cs == 1 or cols == 1) and (rows == 1 or rs >= cols):
-        return _NO_TRANS, rs if rows > 1 else cols
-    if (rs == 1 or rows == 1) and (cols == 1 or cs >= rows):
-        return _TRANS, cs if cols > 1 else rows
-    return None
+def tap_gemm(a: np.ndarray, b: np.ndarray, taps, out: np.ndarray):
+    """``out = sum of a[t] @ b[i][:, o:o + cols]`` over ``(i, o) = taps[t]``,
+    for a (rows, cols) ``out``: the tap loop of conv2d's forward pass.
 
-
-def gemm(a: np.ndarray, b: np.ndarray, out: np.ndarray, accumulate: bool = False):
-    """``out = a @ b``, or ``out += a @ b`` when ``accumulate``, for 2-D arrays.
-
-    Calls the loaded OpenBLAS's ?gemm with beta 0 or 1, so an accumulated
-    product is added inside BLAS, with no temporary, and the GIL is
-    released while it runs. Falls back to ``np.matmul`` (plus ``+=``) when
-    there is no cblas ?gemm, when the dtypes differ or are not float32 or
-    float64, when BLAS cannot read a view in place (no unit stride along
-    either axis, or ``out`` is not row-major), and when ``out`` overlaps an
-    operand. A product with a single row or column falls back too: numpy
-    computes it with ?gemv, whose sums round differently from ?gemm's, so
-    the fallback keeps its bits those of ``np.matmul``. Shape errors come
+    ``a`` is a C-contiguous (taps, rows, k) stack, ``b`` a C-contiguous
+    (blocks, k, m) stack, and ``out`` row-major with unit column stride.
+    The operands are checked, and their pointers taken, once per call; each
+    tap is then one ?gemm at an offset from those pointers, the first with
+    beta 0 and the others with beta 1, so the taps add up inside BLAS with
+    no temporary, and the GIL is released while each runs. Each tap is
+    ``np.matmul`` plus ``+=`` instead where there is no cblas ?gemm, where
+    the operands fail the check, and where ``out`` has a single row or
+    column: numpy computes that product with ?gemv, whose sums round
+    differently from ?gemm's, so its bits stay numpy's. Shape errors come
     from numpy.
     """
+    rows, cols = out.shape
     lib = _library()
     entry = None if lib is None else lib.gemm.get(out.dtype)
+    size = out.itemsize
     if (entry is not None and a.dtype == b.dtype == out.dtype
-            and a.ndim == b.ndim == out.ndim == 2 and a.shape[1] == b.shape[0]
-            and out.shape == (a.shape[0], b.shape[1])
-            and min(out.shape) > 1 and a.shape[1] > 0 and out.flags.writeable
+            and a.ndim == b.ndim == 3 and a.shape[:2] == (len(taps), rows)
+            and a.shape[2] == b.shape[1] > 0 and rows > 1 and cols > 1
+            and a.flags.c_contiguous and b.flags.c_contiguous
+            and out.strides[1] == size and out.strides[0] >= cols * size
+            and out.strides[0] % size == 0 and out.flags.writeable
+            and all(0 <= i < b.shape[0] and 0 <= o <= b.shape[2] - cols for i, o in taps)
             and not np.may_share_memory(out, a) and not np.may_share_memory(out, b)):
-        la, lb, lc = _layout(a), _layout(b), _layout(out)
-        if la is not None and lb is not None and lc is not None and lc[0] == _NO_TRANS:
-            fn, real = entry
-            fn(_ROW_MAJOR, la[0], lb[0], out.shape[0], out.shape[1], a.shape[1],
-               real(1.0), a.ctypes.data, la[1], b.ctypes.data, lb[1],
-               real(1.0 if accumulate else 0.0), out.ctypes.data, lc[1])
-            return out
-    if accumulate:
-        out += np.matmul(a, b)
-    else:
-        np.matmul(a, b, out=out)
+        fn, real = entry
+        k, m = b.shape[1:]
+        pa, pb, pc, ldc = a.ctypes.data, b.ctypes.data, out.ctypes.data, out.strides[0] // size
+        sa, sb = rows * k * size, k * m * size
+        one, zero = real(1.0), real(0.0)
+        for t, (i, o) in enumerate(taps):
+            fn(_ROW_MAJOR, _NO_TRANS, _NO_TRANS, rows, cols, k, one, pa + t * sa, k,
+               pb + i * sb + o * size, m, one if t else zero, pc, ldc)
+        return out
+    for t, (i, o) in enumerate(taps):
+        if t:
+            out += np.matmul(a[t], b[i][:, o:o + cols])
+        else:
+            np.matmul(a[t], b[i][:, o:o + cols], out=out)
     return out

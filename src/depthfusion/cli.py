@@ -92,14 +92,18 @@ _TRAIN_FLAGS = {"epochs": ("epochs",), "batch_size": ("batch_size",),
                 "seed": ("shuffle_seed", "model_seed")}
 
 
+def _given(args, names):
+    """{name: value} of the flags among ``names`` that were given."""
+    return {k: getattr(args, k) for k in names if getattr(args, k) is not None}
+
+
 # ---------------------------------------------------------------------------
 # commands
 
 
 def cmd_gen_data(args):
     mix = _parse_weather_mix(args.weather_mix)
-    spec = D.SceneSpec(width=args.width, height=args.height,
-                       radar_returns=args.radar_returns)
+    spec = D.SceneSpec(**_given(args, ("width", "height", "radar_returns")))
     ids = D.generate_dataset(args.out, args.count, mix, args.seed, spec=spec)
     print(f"wrote {len(ids)} samples to {args.out}")
     return 0
@@ -113,9 +117,8 @@ def _train_configs(args):
     schema = {k: kind for keys in _TRAIN_KEYS.values() for k, kind in keys.items()}
     values = (G.read_key_values(args.config, schema, required=False)
               if args.config else {})
-    for flag, keys in _TRAIN_FLAGS.items():
-        if getattr(args, flag) is not None:
-            values.update(dict.fromkeys(keys, getattr(args, flag)))
+    for flag, value in _given(args, _TRAIN_FLAGS).items():
+        values.update(dict.fromkeys(_TRAIN_FLAGS[flag], value))
 
     def given(cls):
         return {{"model_seed": "seed"}.get(k, k): values[k]
@@ -208,8 +211,7 @@ def cmd_project(args):
 def cmd_densify(args):
     sparse = D.load_depth_pgm(args.sparse)
     guide = D.load_ppm(args.guide)
-    cfg = DensifyConfig(tolerance=args.tolerance,
-                        max_iterations=args.max_iterations)
+    cfg = DensifyConfig(**_given(args, ("tolerance", "max_iterations")))
     result = densify(sparse, guide, cfg)
     D.save_depth_pgm(result.depth, args.out)
     status = "converged" if result.converged else "NOT converged"
@@ -249,9 +251,9 @@ def build_parser():
     g.add_argument("--weather-mix", default="day:1.0")
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", required=True)
-    g.add_argument("--width", type=int, default=160)
-    g.add_argument("--height", type=int, default=96)
-    g.add_argument("--radar-returns", type=int, default=40)
+    g.add_argument("--width", type=int)
+    g.add_argument("--height", type=int)
+    g.add_argument("--radar-returns", type=int)
     g.set_defaults(fn=cmd_gen_data)
 
     t = sub.add_parser("train", help="train a model")
@@ -295,8 +297,8 @@ def build_parser():
     dn.add_argument("--sparse", required=True)
     dn.add_argument("--guide", required=True)
     dn.add_argument("--out", required=True)
-    dn.add_argument("--tolerance", type=float, default=1e-6)
-    dn.add_argument("--max-iterations", type=int, default=5000)
+    dn.add_argument("--tolerance", type=float)
+    dn.add_argument("--max-iterations", type=int)
     dn.set_defaults(fn=cmd_densify)
 
     gc = sub.add_parser("gradcheck", help="finite-difference check of all ops")

@@ -372,6 +372,8 @@ def list_sample_ids(directory):
 def generate_dataset(out_dir, count, weather_mix, seed,
                      spec: SceneSpec | None = None):
     """Write `count` samples; weather_mix is {weather: fraction} (normalized)."""
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
     base = spec or SceneSpec()
     names = list(weather_mix.keys())
     for nm in names:

@@ -13,7 +13,7 @@ import contextlib
 
 import numpy as np
 
-from .blas import gemm
+from .blas import tap_gemm
 
 __all__ = [
     "Tensor",
@@ -377,15 +377,16 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor,
     multiplies the view starting at column i*Wp + j; outputs are computed
     on the padded grid and cropped. For stride s the padded image is first
     split into s x s phase images (space-to-depth): tap (i, j) then reads
-    phase (i % s, j % s) at offset (i//s, j//s). The taps accumulate inside
-    BLAS: the first tap's GEMM writes the output and the others add into it
-    (beta = 1), with no temporary (``blas.gemm``; numpy's matmul plus +=
-    where the loaded BLAS has no cblas ?gemm, and for a one-channel
-    output, whose product numpy computes with ?gemv). The graph keeps no
-    padded copy: backward pads the input again, from ``x.data``, only when
-    the kernel needs a gradient (Chen et al., "Training Deep Nets with
-    Sublinear Memory Cost", 2016: one more padding pass per conv for about a
-    third less graph memory at 96x160).
+    phase (i % s, j % s) at offset (i//s, j//s). The whole tap list is one
+    call to ``blas.tap_gemm``, which checks the operands once and makes one
+    ?gemm per tap: the first writes the output and the others add into it
+    (beta = 1), with no temporary (numpy's matmul plus += where the loaded
+    BLAS has no cblas ?gemm, and for a one-channel output, whose product
+    numpy computes with ?gemv). The graph keeps no padded copy: backward
+    pads the input again, from ``x.data``, only when the kernel needs a
+    gradient (Chen et al., "Training Deep Nets with Sublinear Memory Cost",
+    2016: one more padding pass per conv for about a third less graph
+    memory at 96x160).
     """
     if len(x.shape) != 4 or len(kernel.shape) != 4:
         raise ShapeError(
@@ -437,10 +438,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor,
 
     # one GEMM per tap on shifted views, which BLAS reads in place
     y = np.empty((cout, m), dtype=dt)  # columns from `cols` on are never read
-    xf = padded()
-    for t, (blk, o) in enumerate(taps):
-        gemm(kt[t], xf[blk, :, o:o + cols], y[:, :cols], accumulate=t > 0)
-    del xf
+    tap_gemm(kt, padded(), taps, y[:, :cols])
     data = np.empty((n, cout, ho, wo), dtype=dt)
     np.add(y.reshape(cout, n, hs, ws)[:, :, :ho, :wo].transpose(1, 0, 2, 3),
            bias.data.reshape(1, cout, 1, 1), out=data)
@@ -461,6 +459,9 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor,
             # the GEMMs overwrite every column of each phase that has a tap;
             # a 1x1 kernel at stride 2 leaves three phases unwritten
             gx = (np.empty if len(phases) == s * s else np.zeros)((s * s, cin, m), dtype=dt)
+            # kmat[blk] is (cin, phase taps * cout), the kernel of phase blk
+            kmat = {blk: kt[t0:t1].transpose(2, 0, 1).reshape(cin, -1)
+                    for blk, t0, t1 in phases}
         # input pixel q meets the gradient of output pixel q - o through
         # tap o, which is column d - o + q of gz; both gradients are one
         # GEMM per phase against this stack of shifted rows, built for at
@@ -477,8 +478,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor,
                 if gk is not None:
                     gk[t0 * cout:t1 * cout] += r @ xf[blk, :, c0:c1].T
                 if gx is not None:
-                    np.matmul(kt[t0:t1].transpose(2, 0, 1).reshape(cin, -1), r,
-                              out=gx[blk, :, c0:c1])
+                    np.matmul(kmat[blk], r, out=gx[blk, :, c0:c1])
         if gk is not None:
             full = np.empty(kernel.shape, dtype=dt)
             full[:, :, ki, kj] = gk.reshape(len(taps), cout, cin).transpose(1, 2, 0)

@@ -332,12 +332,17 @@ def train(train_cfg: TrainConfig, model_cfg: ModelConfig, train_dir,
         # batches are full or dropped, so there would be nothing to train on
         raise ValueError(f"training directory {train_dir} holds {n_samples} "
                          f"samples, fewer than batch_size={train_cfg.batch_size}")
+    if val_dir is not None and not D.list_sample_ids(val_dir):
+        raise ValueError(f"validation directory {val_dir} is empty")
     start_epoch = 1
     state = OptimState()
     if resume is not None:
         model, extra, moments = load_checkpoint(resume)
         _check_resumed_config(resume, model.config, model_cfg, model_keys)
         epoch, state.t = _resume_state(resume, extra)
+        if train_cfg.epochs < epoch:
+            raise ValueError(f"{resume}: the checkpoint has state.epoch={epoch}, "
+                             f"past the requested epochs={train_cfg.epochs}")
         start_epoch = epoch + 1
         _restore_moments(model, moments, state)
     else:

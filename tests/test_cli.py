@@ -4,10 +4,12 @@ import shutil
 import numpy as np
 import pytest
 
+from depthfusion import cli
 from depthfusion import data as D
 from depthfusion import geometry as G
 from depthfusion import metrics as M
 from depthfusion.cli import _train_configs, build_parser, depth_colormap, main
+from depthfusion.densify import DensifyConfig, densify
 from depthfusion.losses import PixelLossKind
 from depthfusion.model import (FusionMode, Model, ModelConfig, build_model,
                                save_checkpoint)
@@ -133,6 +135,30 @@ def test_densify_command(workspace):
     assert code == 0
     dense = D.load_depth_pgm(root / "dense.pgm")
     assert np.all(dense > 0)
+
+
+def test_densify_flags_default_to_the_config(workspace, monkeypatch):
+    root, data = workspace["root"], workspace["data"]
+    seen = []
+    monkeypatch.setattr(cli, "densify", lambda sparse, guide, cfg: seen.append(cfg)
+                        or densify(sparse, guide, cfg))
+    code = main(["densify", "--sparse", str(data / "000002_sparse.pgm"),
+                 "--guide", str(data / "000002_rgb.ppm"),
+                 "--out", str(root / "dense_default.pgm")])
+    assert code in (0, 2) and seen == [DensifyConfig()]
+
+
+def test_gen_data_count_and_defaults(workspace, capsys):
+    root = workspace["root"]
+    for count in ("0", "-3"):
+        assert main(["gen-data", "--count", count, "--out", str(root / "none")]) == 1
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err["error"] == f"count must be >= 1, got {count}"
+    assert not (root / "none").exists()
+    assert main(["gen-data", "--count", "1", "--out", str(root / "default")]) == 0
+    s = D.load_sample(root / "default", "000000")
+    spec = D.SceneSpec()
+    assert s.rgb.shape == (spec.height, spec.width, 3)
 
 
 def test_bad_input_exits_one(workspace, capsys):
@@ -367,6 +393,22 @@ def test_resume_state_is_checked(workspace, capsys):
         err = json.loads(capsys.readouterr().err.splitlines()[-1])
         assert err["code"] == 1 and err["error"] == f"{ckpt}: {message}"
     assert not (root / "never_run").exists()
+
+
+def test_resume_past_the_requested_epochs_exits_one(workspace, capsys):
+    root, data = workspace["root"], workspace["data"]
+    ckpt = workspace["ckpt"].parent / "epoch_002.ckpt"
+    out = root / "never_resumed"
+    assert main(["train", "--train-dir", str(data), "--out", str(out),
+                 "--epochs", "1", "--resume", str(ckpt)]) == 1
+    err = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert err["error"] == (f"{ckpt}: the checkpoint has state.epoch=2, "
+                            "past the requested epochs=1")
+    assert not out.exists()
+    # as many epochs as the checkpoint has is a run with nothing left to train
+    assert main(["train", "--train-dir", str(data), "--out", str(out),
+                 "--epochs", "2", "--resume", str(ckpt)]) == 0
+    assert "finished 0 epochs" in capsys.readouterr().out
 
 
 def test_truncated_checkpoint_exits_one(workspace, capsys):

@@ -134,6 +134,15 @@ def test_train_rejects_empty_directory(tmp_path):
         train(TrainConfig(epochs=1), SMALL, tmp_path)
 
 
+def test_train_rejects_empty_validation_directory(dataset, tmp_path):
+    empty = tmp_path / "val"
+    empty.mkdir()
+    out = tmp_path / "run"
+    with pytest.raises(ValueError, match=f"validation directory {empty} is empty"):
+        train(TrainConfig(epochs=1), SMALL, dataset, val_dir=empty, out_dir=out)
+    assert not out.exists()
+
+
 def test_train_rejects_fewer_samples_than_batch(tmp_path):
     data = tmp_path / "one"
     D.generate_dataset(data, 1, {"day": 1.0}, seed=0,
