@@ -8,6 +8,8 @@ no measurement / invalid).
 
 from __future__ import annotations
 
+import math
+import numbers
 import os
 from dataclasses import dataclass, field, replace
 
@@ -62,6 +64,23 @@ class SceneSpec:
     def __post_init__(self):
         if self.weather not in WEATHERS:
             raise ValueError(f"unknown weather {self.weather!r}, expected {WEATHERS}")
+        for name, low in (("width", 1), ("height", 1), ("radar_returns", 0)):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+                    or value < low):
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        # each test is False for NaN
+        for name, ok, what in (
+                ("radar_noise_sigma", 0 <= self.radar_noise_sigma < math.inf,
+                 "finite and >= 0"),
+                ("radar_band_frac", 0 < self.radar_band_frac <= 1, "in (0, 1]"),
+                ("d_min", 0 < self.d_min < math.inf, "positive and finite"),
+                ("d_max", self.d_min < self.d_max < math.inf,
+                 f"finite and above d_min={self.d_min!r}"),
+                ("camera_height", 0 < self.camera_height < math.inf,
+                 "positive and finite")):
+            if not ok:
+                raise ValueError(f"{name} must be {what}, got {getattr(self, name)!r}")
         if self.intrinsics is None:
             f = 0.9 * self.width
             self.intrinsics = CameraIntrinsics(

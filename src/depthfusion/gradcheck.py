@@ -79,6 +79,19 @@ def _rand_away_from_zero(rng, shape, margin=0.1):
     return Tensor(mag * sign, requires_grad=True, dtype=np.float64)
 
 
+def _conv_away_from_kink(rng, stride, margin=0.01):
+    """(x, kernel, bias) whose padded conv at ``stride`` has no output
+    within ``margin`` of 0, the kink of a fused leaky ReLU, so central
+    differences stay on one branch; drawn again until they do."""
+    from . import tensor as T
+    while True:
+        case = [_rand(rng, (2, 2, 4, 4)), _rand(rng, (3, 2, 3, 3)), _rand(rng, (3,))]
+        with T.no_grad():
+            z = T.conv2d(*case, stride, 1).data
+        if np.abs(z).min() >= margin:
+            return case
+
+
 def _suite_cases(rng):
     """(name, fn, tensors) triples; every fn maps its tensors to a scalar."""
     from . import tensor as T
@@ -103,6 +116,10 @@ def _suite_cases(rng):
     from .tensor import Tensor
     p_edge = Tensor(g8.data + ramp.reshape(1, 1, 8, 8), requires_grad=True,
                     dtype=np.float64)
+    fused_s1 = _conv_away_from_kink(rng, 1)
+    fused_s2 = _conv_away_from_kink(rng, 2)
+    skip = _rand(rng, (2, 1, 8, 8))
+    weight = Tensor(rng.uniform(-1, 1, size=(2, 3, 8, 8)))
 
     def msum(t):
         return T.mean_all(t)
@@ -114,6 +131,12 @@ def _suite_cases(rng):
         ("leaky_relu", lambda a: msum(T.leaky_relu(a, 0.1)), [away]),
         ("maxpool2x", lambda a: msum(T.maxpool2x(a)), [x]),
         ("bilinear_upsample2x", lambda a: msum(T.bilinear_upsample2x(a)), [x]),
+        ("conv2d_leaky_s1p1",
+         lambda a, kk, bb: msum(T.conv2d(a, kk, bb, 1, 1, leaky=0.2)), fused_s1),
+        ("conv2d_leaky_s2p1",
+         lambda a, kk, bb: msum(T.conv2d(a, kk, bb, 2, 1, leaky=0.2)), fused_s2),
+        ("upsample2x_skip",
+         lambda a, sk: msum(T.bilinear_upsample2x(a, sk) * weight), [x, skip]),
         ("concat_channels",
          lambda a, bb: msum(T.concat_channels(a, bb) * T.concat_channels(bb, a)),
          [x, y]),

@@ -14,6 +14,8 @@ from enum import Enum
 
 import numpy as np
 
+from .malloc import keep_freed_memory
+
 THRESHOLDS = (1.25, 1.25 ** 2, 1.25 ** 3)
 
 
@@ -76,8 +78,11 @@ def evaluate(model, samples,
     clipped to the model's [d_min, d_max].
 
     ``samples`` is consumed lazily, so a generator that loads each frame
-    has it predicted and scored before the next one loads.
+    has it predicted and scored before the next one loads. Freed memory
+    is kept in the process (``malloc.keep_freed_memory``), so each frame
+    reuses the last one's buffers.
     """
+    keep_freed_memory()
     cfg = model.config
     return [compute_metrics(model.predict_depth(s.rgb, s.sparse),
                             np.clip(s.gt, cfg.d_min, cfg.d_max), divisor=divisor)

@@ -145,32 +145,30 @@ class Model:
         return T.add_elementwise(rgb, sparse)
 
     def forward(self, fused: Tensor) -> Tensor:
+        """Normalized reciprocal depth in (0, 1). Each conv but the head
+        applies its leaky ReLU in place (``conv2d(..., leaky=)``), and each
+        decoder stage upsamples straight into its skip concatenation
+        (``bilinear_upsample2x(x, skip)``), so the graph keeps one array
+        per layer."""
         cfg = self.config
         if fused.shape[1] != 3 or fused.shape[2] != cfg.input_height \
                 or fused.shape[3] != cfg.input_width:
             raise T.ShapeError(
                 f"forward: input {fused.shape} does not match configured "
                 f"3x{cfg.input_height}x{cfg.input_width}")
-        a = cfg.leaky_alpha
+
+        def conv(name, x, stride=1):
+            return T.conv2d(x, self.params[f"{name}.kernel"], self.params[f"{name}.bias"],
+                            stride=stride, padding=1, leaky=cfg.leaky_alpha)
+
         x = fused
         skips = []
         for s in range(1, cfg.encoder_stages + 1):
-            x = T.leaky_relu(T.conv2d(x, self.params[f"enc{s}.conv.kernel"],
-                                      self.params[f"enc{s}.conv.bias"],
-                                      stride=1, padding=1), a)
-            skips.append(x)
-            x = T.leaky_relu(T.conv2d(x, self.params[f"enc{s}.down.kernel"],
-                                      self.params[f"enc{s}.down.bias"],
-                                      stride=2, padding=1), a)
+            skips.append(conv(f"enc{s}.conv", x))
+            x = conv(f"enc{s}.down", skips[-1], stride=2)
         for s in range(cfg.encoder_stages, 0, -1):
-            x = T.bilinear_upsample2x(x)
-            x = T.concat_channels(x, skips[s - 1])
-            x = T.leaky_relu(T.conv2d(x, self.params[f"dec{s}.conv1.kernel"],
-                                      self.params[f"dec{s}.conv1.bias"],
-                                      stride=1, padding=1), a)
-            x = T.leaky_relu(T.conv2d(x, self.params[f"dec{s}.conv2.kernel"],
-                                      self.params[f"dec{s}.conv2.bias"],
-                                      stride=1, padding=1), a)
+            x = T.bilinear_upsample2x(x, skips[s - 1])
+            x = conv(f"dec{s}.conv2", conv(f"dec{s}.conv1", x))
         logits = T.conv2d(x, self.params["head.kernel"], self.params["head.bias"],
                           stride=1, padding=1)
         return T.sigmoid(logits)

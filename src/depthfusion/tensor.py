@@ -147,10 +147,15 @@ def no_grad():
         _grad_enabled = previous
 
 
+def _records(parents) -> bool:
+    """Whether an op on ``parents`` joins the graph."""
+    return _grad_enabled and any(p.requires_grad for p in parents)
+
+
 def _make(data, parents, backward_fn, op):
     # each op defines backward_fn before calling _make; the closure reads
     # the op's `out` by name when it runs, after _make has returned it
-    req = _grad_enabled and any(p.requires_grad for p in parents)
+    req = _records(parents)
     return Tensor(data, requires_grad=req,
                   _parents=tuple(parents) if req else (),
                   _backward_fn=backward_fn if req else None, _op=op)
@@ -276,21 +281,35 @@ def sigmoid(a: Tensor) -> Tensor:
     return out
 
 
+def _check_alpha(alpha):
+    if not 0.0 <= alpha < 1.0:
+        raise ValueError(f"leaky_relu: alpha must be in [0, 1), got {alpha}")
+
+
+def _leaky_grad(g: np.ndarray, nonneg: np.ndarray, alpha: float) -> np.ndarray:
+    """The gradient through a leaky ReLU: g where its input was >= 0 and
+    alpha*g elsewhere. The slope (1 or alpha) is looked up by the boolean
+    mask ``nonneg`` and multiplied by g, which gives the same bits as
+    scaling g by alpha and copying g over it where the mask is set, in a
+    quarter of the time; the result is C-contiguous."""
+    slope = np.array([alpha, 1], dtype=g.dtype).take(nonneg.view(np.uint8))
+    slope *= g
+    return slope
+
+
 def leaky_relu(a: Tensor, alpha: float) -> Tensor:
     """x for x >= 0, alpha*x otherwise; alpha in [0, 1).
 
     Computed as max(alpha*x, x), which picks the same value for every
     finite x, signed zeros included, since alpha*x <= x exactly when x >= 0.
+    ``conv2d(..., leaky=alpha)`` computes the same, in place on its output.
     """
-    if not 0.0 <= alpha < 1.0:
-        raise ValueError(f"leaky_relu: alpha must be in [0, 1), got {alpha}")
+    _check_alpha(alpha)
     y = a.data * alpha
     np.maximum(y, a.data, out=y)
 
     def bw():
-        g = out.grad * alpha
-        np.copyto(g, out.grad, where=a.data >= 0)
-        _accumulate(a, g)
+        _accumulate(a, _leaky_grad(out.grad, a.data >= 0, alpha))
 
     out = _make(y, (a,), bw, "leaky_relu")
     return out
@@ -341,12 +360,15 @@ def tslice(a: Tensor, key) -> Tensor:
 # structured ops
 
 
+def _check_concat(op, a_shape, b_shape):
+    if len(a_shape) != 4 or len(b_shape) != 4:
+        raise ShapeError(f"{op}: both inputs must be 4-D NCHW")
+    if a_shape[0] != b_shape[0] or a_shape[2:] != b_shape[2:]:
+        raise ShapeError(f"{op}: batch/spatial mismatch {a_shape} vs {b_shape}")
+
+
 def concat_channels(a: Tensor, b: Tensor) -> Tensor:
-    if len(a.shape) != 4 or len(b.shape) != 4:
-        raise ShapeError("concat_channels: both inputs must be 4-D NCHW")
-    if a.shape[0] != b.shape[0] or a.shape[2:] != b.shape[2:]:
-        raise ShapeError(
-            f"concat_channels: batch/spatial mismatch {a.shape} vs {b.shape}")
+    _check_concat("concat_channels", a.shape, b.shape)
     ca = a.shape[1]
 
     def bw():
@@ -367,7 +389,7 @@ _ROW_BLOCK_BYTES = 4 << 20
 
 
 def conv2d(x: Tensor, kernel: Tensor, bias: Tensor,
-           stride: int = 1, padding: int = 0) -> Tensor:
+           stride: int = 1, padding: int = 0, leaky: float | None = None) -> Tensor:
     """2-D cross-correlation with zero padding (no kernel flip).
 
     Implicit GEMM (the accumulating "kn2row" form of Anderson et al.,
@@ -387,6 +409,13 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor,
     gradient (Chen et al., "Training Deep Nets with Sublinear Memory Cost",
     2016: one more padding pass per conv for about a third less graph
     memory at 96x160).
+
+    With ``leaky=alpha`` the output is ``leaky_relu(z, alpha)`` of the
+    biased conv z, with the same bits, applied in place on z (the in-place
+    activation of Rota Bulo et al., "In-Place Activated BatchNorm for
+    Memory-Optimized Training of DNNs", CVPR 2018). The graph keeps a
+    one-byte mask z >= 0 in place of z, and no mask under ``no_grad``;
+    backward multiplies the incoming gradient by the slope it gives.
     """
     if len(x.shape) != 4 or len(kernel.shape) != 4:
         raise ShapeError(
@@ -401,6 +430,8 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor,
             f"conv2d: bias shape {bias.shape} does not match kernel {kernel.shape}")
     if stride < 1 or padding < 0:
         raise ValueError(f"conv2d: bad stride={stride} or padding={padding}")
+    if leaky is not None:
+        _check_alpha(leaky)
     if kh > h + 2 * padding or kw > w + 2 * padding:
         raise ShapeError(
             f"conv2d: kernel {kernel.shape} larger than padded input {x.shape}")
@@ -442,9 +473,15 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor,
     data = np.empty((n, cout, ho, wo), dtype=dt)
     np.add(y.reshape(cout, n, hs, ws)[:, :, :ho, :wo].transpose(1, 0, 2, 3),
            bias.data.reshape(1, cout, 1, 1), out=data)
+    del y
+    if leaky is not None:
+        nonneg = data >= 0 if _records((x, kernel, bias)) else None
+        np.maximum(data * leaky, data, out=data)
 
     def bw():
         g = out.grad
+        if leaky is not None:
+            g = _leaky_grad(g, nonneg, leaky)
         if bias.requires_grad:
             _accumulate(bias, g.sum(axis=(0, 2, 3)))
         # the output gradient on the padded grid, behind d zero columns
@@ -597,15 +634,28 @@ def _up2_T(g: np.ndarray, axis: int) -> np.ndarray:
     return gr
 
 
-def bilinear_upsample2x(x: Tensor) -> Tensor:
-    """Double H and W; sample centers at (i+0.5)/2 - 0.5, edges clamped."""
+def bilinear_upsample2x(x: Tensor, skip: Tensor | None = None) -> Tensor:
+    """Double H and W; sample centers at (i+0.5)/2 - 0.5, edges clamped.
+
+    Given ``skip``, returns ``concat_channels(bilinear_upsample2x(x), skip)``
+    as one node, with the same bits: the upsampled array is freed once
+    copied, where the two-node form kept it in the graph.
+    """
     if len(x.shape) != 4:
         raise ShapeError(f"bilinear_upsample2x: expected 4-D input, got {x.shape}")
+    data = _up2(_up2(x.data, 3), 2)
+    c = x.shape[1]
+    if skip is not None:
+        _check_concat("bilinear_upsample2x", data.shape, skip.shape)
+        data = np.concatenate([data, skip.data], axis=1)
 
     def bw():
-        _accumulate(x, _up2_T(_up2_T(out.grad, 2), 3))
+        g = out.grad
+        _accumulate(x, _up2_T(_up2_T(g[:, :c], 2), 3))
+        if skip is not None:
+            _accumulate(skip, g[:, c:])
 
-    out = _make(_up2(_up2(x.data, 3), 2), (x,), bw, "upsample2x")
+    out = _make(data, (x,) if skip is None else (x, skip), bw, "upsample2x")
     return out
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import contextlib
 import copy
-import ctypes
 import functools
 import json
 import math
@@ -32,6 +31,7 @@ from . import data as D
 from . import metrics as M
 from . import tensor as T
 from .losses import LossWeights, PixelLossKind, berhu_threshold, loss_total
+from .malloc import keep_freed_memory
 from .model import (FusionMode, Model, ModelConfig, build_model,
                     encode_sparse, load_checkpoint, save_checkpoint)
 from .tensor import Tensor
@@ -138,50 +138,6 @@ def batch_to_tensors(samples, model: Model):
             Tensor(target))
 
 
-# glibc's mallopt parameters and the values _keep_freed_memory sets
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-_M_ARENA_MAX = -8
-_MMAP_THRESHOLD = 32 << 20  # the largest glibc accepts on 64-bit
-_TRIM_THRESHOLD = 2 ** 31 - 1  # the largest int, so the heap is never trimmed
-
-
-@functools.cache
-def _keep_freed_memory() -> bool:
-    """Tell glibc's malloc to keep freed blocks in the process for reuse.
-
-    By default glibc moves its mmap and trim thresholds as it goes and hands
-    a train step's multi-MB buffers (padded conv inputs, gradients) back to
-    the kernel when they are freed, so the next step faults every page in
-    again (over 20k minor faults for a 96x160 batch-2 step). Blocks under
-    32 MB now come from the heap, and freed heap memory is never trimmed,
-    so the process's RSS stays at its high-water mark. Both values are set
-    together: setting either one alone turns off the dynamic threshold, and
-    the trim threshold alone made a 96x160 ``predict_depth`` slower.
-
-    All threads also allocate from the one main arena. glibc otherwise
-    gives each new thread an arena of its own, and memory freed in one
-    arena serves only the threads attached to it: a block one worker frees
-    cannot serve the other worker, or validation on the calling thread,
-    which fault in fresh pages instead. On 2 vCPUs one arena alone cut the
-    peak RSS of 96x160 batch-2 training from 211 to 195 MB, with no
-    measurable change in time per step. It holds for threads that start
-    after this call: a thread that has already allocated keeps its arena,
-    and a new thread may take over the arena of one that has exited.
-    Returns False, having changed nothing, where there is no ``mallopt``.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError):
-        return False
-    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
-    # every call runs whatever the others return: mallopt gives 1 or 0
-    applied = [mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD),
-               mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD),
-               mallopt(_M_ARENA_MAX, 1)]
-    return all(applied)
-
-
 def _usable_cores() -> int:
     return len(os.sched_getaffinity(0))
 
@@ -199,9 +155,9 @@ def _per_sample(n_samples: int):
     Without that control the calls run serially and BLAS is left alone:
     two workers on two-thread BLAS were slower than one batch graph.
     The first call also keeps freed memory in the process
-    (``_keep_freed_memory``), for this and every later step.
+    (``malloc.keep_freed_memory``), for this and every later step.
     """
-    _keep_freed_memory()
+    keep_freed_memory()
     control = blas.threads()
     if control is None:
         yield lambda fn: list(map(fn, range(n_samples)))
@@ -344,6 +300,8 @@ def train(train_cfg: TrainConfig, model_cfg: ModelConfig, train_dir,
             raise ValueError(f"{resume}: the checkpoint has state.epoch={epoch}, "
                              f"past the requested epochs={train_cfg.epochs}")
         start_epoch = epoch + 1
+        if epoch:  # last.ckpt's lr, should the epoch loop below not run
+            state.lr = lr_schedule(epoch, train_cfg)
         _restore_moments(model, moments, state)
     else:
         model = build_model(model_cfg)

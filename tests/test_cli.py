@@ -161,6 +161,13 @@ def test_gen_data_count_and_defaults(workspace, capsys):
     assert s.rgb.shape == (spec.height, spec.width, 3)
 
 
+def test_gen_data_refuses_negative_radar_returns(workspace, capsys):
+    assert main(["gen-data", "--count", "1", "--out", str(workspace["root"] / "neg"),
+                 "--radar-returns", "-5"]) == 1
+    err = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert err["error"] == "radar_returns must be an integer >= 0, got -5"
+
+
 def test_bad_input_exits_one(workspace, capsys):
     assert main(["gen-data", "--count", "1", "--out",
                  str(workspace["root"] / "w"),

@@ -142,6 +142,26 @@ def test_unknown_weather_rejected():
         D.SceneSpec(weather="hail")
 
 
+@pytest.mark.parametrize("field, value", [
+    ("radar_returns", -1), ("radar_returns", 2.5), ("radar_returns", True),
+    ("width", 0), ("height", -4), ("width", 16.0),
+    ("radar_noise_sigma", -0.1), ("radar_noise_sigma", float("nan")),
+    ("radar_noise_sigma", float("inf")),
+    ("radar_band_frac", 0.0), ("radar_band_frac", 1.5),
+    ("radar_band_frac", float("nan")),
+    ("d_min", 0.0), ("d_min", float("nan")), ("d_max", 0.5), ("d_max", 0.1),
+    ("d_max", float("inf")), ("camera_height", 0.0), ("camera_height", -1.5),
+    ("camera_height", float("nan"))])
+def test_scene_spec_refuses_bad_fields(field, value):
+    with pytest.raises(ValueError, match=field):
+        D.SceneSpec(**{field: value})
+
+
+def test_scene_spec_accepts_the_edges():
+    D.SceneSpec(width=1, height=1, radar_returns=0, radar_noise_sigma=0.0,
+                radar_band_frac=1.0, d_min=1e-3, d_max=1e3, camera_height=1e-3)
+
+
 def test_augment_flip_is_involution_and_aligned():
     s = D.generate_sample(D.SceneSpec(width=32, height=32), seed=1)
     cfg = D.AugmentConfig(p_flip=1.0, p_contrast=0.0, p_brightness=0.0)

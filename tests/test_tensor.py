@@ -379,3 +379,118 @@ def test_bilinear_upsample_matches_swapaxes_formula(shape, dtype):
     # the adjoint sums its four terms in another order
     eps = np.finfo(dtype).eps
     assert np.abs(grads[a] - want_g).max() <= 4 * eps * np.abs(g).max()
+
+
+def _zeros_and_negatives(rng, shape, dtype):
+    """Normal values with a quarter +0.0 and a quarter -0.0."""
+    a = rng.normal(size=shape)
+    pick = rng.integers(0, 4, size=shape)
+    a[pick == 0] = 0.0
+    a[pick == 1] = -0.0
+    return a.astype(dtype)
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("alpha", [0.0, 0.2])
+def test_fused_conv_leaky_is_bitwise_the_composition(alpha, dtype, stride):
+    rng = np.random.default_rng(stride)
+    xs = _zeros_and_negatives(rng, (2, 3, 6, 8), dtype)
+    ks = rng.normal(size=(4, 3, 3, 3)).astype(dtype)
+    ks[1] = 0.0  # output channel 1 is exactly its bias, +0.0
+    bs = np.array([0.5, 0.0, -0.5, 0.0], dtype=dtype)
+    z = T.conv2d(t(xs), t(ks), t(bs), stride, 1).data
+    assert (z == 0).any() and (z < 0).any()
+    g = _zeros_and_negatives(rng, z.shape, dtype)
+    results = []
+    for fused in (True, False):
+        x, k, b = t(xs, dtype=dtype), t(ks, dtype=dtype), t(bs, dtype=dtype)
+        if fused:
+            out = T.conv2d(x, k, b, stride, 1, leaky=alpha)
+        else:
+            out = T.leaky_relu(T.conv2d(x, k, b, stride, 1), alpha)
+        grads = T.backward(T.sum_all(out * t(g, grad=False, dtype=dtype)))
+        results.append([out.data] + [grads[v] for v in (x, k, b)])
+    for got, want in zip(*results):
+        assert got.dtype == want.dtype == dtype
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_upsample_into_skip_is_bitwise_the_composition(dtype):
+    rng = np.random.default_rng(7)
+    xs = _zeros_and_negatives(rng, (2, 3, 3, 5), dtype)
+    ss = _zeros_and_negatives(rng, (2, 2, 6, 10), dtype)
+    g = _zeros_and_negatives(rng, (2, 5, 6, 10), dtype)
+    results = []
+    for fused in (True, False):
+        x, skip = t(xs, dtype=dtype), t(ss, dtype=dtype)
+        if fused:
+            out = T.bilinear_upsample2x(x, skip)
+        else:
+            out = T.concat_channels(T.bilinear_upsample2x(x), skip)
+        grads = T.backward(T.sum_all(out * t(g, grad=False, dtype=dtype)))
+        results.append([out.data, grads[x], grads[skip]])
+    for got, want in zip(*results):
+        assert got.dtype == want.dtype == dtype
+        assert got.tobytes() == want.tobytes()
+    with pytest.raises(ShapeError):
+        T.bilinear_upsample2x(t(xs), t(ss[:, :, :5]))
+
+
+def _unfused_forward(model, fused, pre, up):
+    """Model.forward with separate leaky_relu and concat_channels nodes.
+    Appends the arrays only this form keeps in its graph: each conv's
+    pre-activation to ``pre``, each decoder stage's upsampled input to ``up``."""
+    cfg, p = model.config, model.params
+
+    def conv(name, x, stride=1):
+        z = T.conv2d(x, p[f"{name}.kernel"], p[f"{name}.bias"], stride=stride, padding=1)
+        pre.append(z.data)
+        return T.leaky_relu(z, cfg.leaky_alpha)
+
+    x, skips = fused, []
+    for s in range(1, cfg.encoder_stages + 1):
+        skips.append(conv(f"enc{s}.conv", x))
+        x = conv(f"enc{s}.down", skips[-1], stride=2)
+    for s in range(cfg.encoder_stages, 0, -1):
+        u = T.bilinear_upsample2x(x)
+        up.append(u.data)
+        x = conv(f"dec{s}.conv2", conv(f"dec{s}.conv1", T.concat_channels(u, skips[s - 1])))
+    return T.sigmoid(T.conv2d(x, p["head.kernel"], p["head.bias"], stride=1, padding=1))
+
+
+def _traced_growth(fn):
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_model_graph_keeps_one_array_per_layer():
+    # the fused forward gives the same bits as the unfused composition, and
+    # its graph holds less by the pre-activations and upsampled inputs,
+    # less the one-byte masks kept in place of the pre-activations
+    from depthfusion.model import FusionMode, ModelConfig, build_model
+    model = build_model(ModelConfig(input_height=32, input_width=64, base_channels=8,
+                                    fusion_mode=FusionMode.CONCAT_TRUNCATE))
+    rng = np.random.default_rng(3)
+    rgb = Tensor(rng.uniform(size=(1, 3, 32, 64)).astype(np.float32))
+    sparse = Tensor(rng.uniform(size=(1, 1, 32, 64)).astype(np.float32))
+    pre, up = [], []
+    fused, fused_bytes = _traced_growth(lambda: model.predict(rgb, sparse))
+    unfused, unfused_bytes = _traced_growth(
+        lambda: _unfused_forward(model, model.fuse_input(rgb, sparse), pre, up))
+    assert fused.data.tobytes() == unfused.data.tobytes()
+    weight_grads = []
+    for out in (fused, unfused):
+        for w in model.params.values():
+            w.zero_grad()
+        grads = T.backward(T.mean_all(out))
+        weight_grads.append([grads[w].tobytes() for w in model.params.values()])
+    assert weight_grads[0] == weight_grads[1]
+    saved = sum(a.nbytes - a.size for a in pre) + sum(a.nbytes for a in up)
+    assert unfused_bytes - fused_bytes >= saved, (unfused_bytes, fused_bytes, saved)

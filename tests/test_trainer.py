@@ -12,6 +12,7 @@ from depthfusion import data as D
 from depthfusion import tensor as T
 from depthfusion import trainer
 from depthfusion.losses import LossWeights, PixelLossKind, loss_total
+from depthfusion.malloc import keep_freed_memory
 from depthfusion.model import FusionMode, Model, ModelConfig, build_model
 from depthfusion.tensor import Tensor
 from depthfusion.trainer import (OptimState, TrainConfig, TrainingAborted,
@@ -127,6 +128,16 @@ def test_resume_matches_uninterrupted_run(dataset, tmp_path):
     assert (full / "last.ckpt").read_bytes() == (split / "last.ckpt").read_bytes()
     assert (full / "epoch_002.ckpt").read_bytes() == \
         (split / "epoch_002.ckpt").read_bytes()
+
+
+def test_resume_at_the_checkpoint_epoch_keeps_its_lr(dataset, tmp_path):
+    # resumed at its own epoch the run trains nothing, and last.ckpt must
+    # carry the schedule's lr, not OptimState's default of 1e-4
+    cfg = TrainConfig(epochs=2, batch_size=2, lr0=3e-4)
+    full, again = tmp_path / "full", tmp_path / "again"
+    train(cfg, SMALL, dataset, out_dir=full)
+    train(cfg, SMALL, dataset, out_dir=again, resume=full / "epoch_002.ckpt")
+    assert (again / "last.ckpt").read_bytes() == (full / "last.ckpt").read_bytes()
 
 
 def test_train_rejects_empty_directory(tmp_path):
@@ -342,7 +353,7 @@ def test_threads_reuse_each_others_freed_memory(tmp_path):
     # block a worker freed serves the calling thread without faulting in
     # fresh pages; with an arena per thread it took hundreds of faults. A
     # fresh process, so that no earlier thread holds an arena of its own
-    if not trainer._keep_freed_memory():
+    if not keep_freed_memory():
         pytest.skip("no mallopt in this process")
     out = tmp_path / "faults.txt"
     _run_at_blas_threads("2", REUSE_SCRIPT, out)
@@ -356,7 +367,7 @@ def test_warm_train_steps_keep_freed_memory():
     # faults per 96x160 batch-2 step. Kept, the heap still grows now and
     # then over the first steps, by up to about 2.7k faults in one step, so
     # the bound is on three steps together
-    if not trainer._keep_freed_memory():
+    if not keep_freed_memory():
         pytest.skip("no mallopt in this process")
     samples = [D.generate_sample(D.SceneSpec(), seed) for seed in range(2)]
     model = build_model(ModelConfig(fusion_mode=FusionMode.CONCAT_TRUNCATE))
