@@ -372,12 +372,20 @@ _META_KEYS = {"id": str, "weather": WEATHERS, "seed": int}
 
 def load_sample(directory, sample_id) -> Sample:
     """A ``_meta.txt`` that ``read_key_values`` rejects under ``_META_KEYS``
-    is a ValueError naming the file, the line and the key."""
+    is a ValueError naming the file, the line and the key; so is a sparse
+    or ground-truth map whose size differs from the RGB image's, naming
+    the map's file and both sizes."""
     paths = sample_paths(directory, sample_id)
     meta = read_key_values(paths["meta"], _META_KEYS)
-    return Sample(rgb=load_ppm(paths["rgb"]),
-                  sparse=load_depth_pgm(paths["sparse"]),
-                  gt=load_depth_pgm(paths["gt"]),
+    rgb = load_ppm(paths["rgb"])
+    maps = {}
+    for key in ("sparse", "gt"):
+        maps[key] = load_depth_pgm(paths[key])
+        if maps[key].shape != rgb.shape[:2]:
+            (h, w), (hr, wr) = maps[key].shape, rgb.shape[:2]
+            raise ValueError(f"{paths[key]}: size {w}x{h} differs from the "
+                             f"RGB image's {wr}x{hr} ({paths['rgb']})")
+    return Sample(rgb=rgb, sparse=maps["sparse"], gt=maps["gt"],
                   sample_id=meta["id"], weather=meta["weather"],
                   seed=meta["seed"])
 

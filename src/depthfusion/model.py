@@ -76,50 +76,67 @@ def _he_conv(rng, cout, cin, kh, kw, dtype):
     return rng.normal(0.0, std, size=(cout, cin, kh, kw)).astype(dtype)
 
 
-class Model:
-    """Weight container plus the forward pass. Build via ``build_model``."""
+def weight_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """The name and shape of every weight of the model ``config`` describes,
+    in the order ``Model`` draws and a checkpoint stores them."""
+    shapes = {}
 
-    def __init__(self, config: ModelConfig, dtype=np.float32):
+    def conv(name, cout, cin, k=3):
+        shapes[f"{name}.kernel"] = (cout, cin, k, k)
+        shapes[f"{name}.bias"] = (cout,)
+
+    if config.fusion_mode is FusionMode.CONCAT_TRUNCATE:
+        conv("fuse", 3, 4, k=1)
+    cin = 3
+    for s in range(1, config.encoder_stages + 1):
+        cout = config.base_channels * 2 ** (s - 1)
+        conv(f"enc{s}.conv", cout, cin)
+        conv(f"enc{s}.down", cout, cout)
+        cin = cout
+    for s in range(config.encoder_stages, 0, -1):
+        cat = cin + config.base_channels * 2 ** (s - 1)  # upsampled + skip
+        conv(f"dec{s}.conv1", cat // 2, cat)
+        conv(f"dec{s}.conv2", cat // 2, cat // 2)
+        cin = cat // 2
+    conv("head", 1, cin)
+    return shapes
+
+
+# head bias starts at the logit of a mid-range reciprocal target, not zero:
+# with zero bias the sigmoid sits at 0.5 while most targets are far below
+# it, and low-step overfitting stalls
+_HEAD_BIAS = -2.5
+
+
+def _draw_weights(config: ModelConfig, dtype) -> dict[str, np.ndarray]:
+    """He-normal kernels drawn from ``config.seed`` in ``weight_shapes``
+    order, zero biases, and ``_HEAD_BIAS`` for the head."""
+    rng = np.random.default_rng(config.seed)
+    weights = {}
+    for name, shape in weight_shapes(config).items():
+        if len(shape) == 4:
+            weights[name] = _he_conv(rng, *shape, dtype)
+        else:
+            weights[name] = np.full(shape, _HEAD_BIAS if name == "head.bias" else 0.0,
+                                    dtype=dtype)
+    return weights
+
+
+class Model:
+    """Weight container plus the forward pass. Build via ``build_model``.
+
+    ``weights`` maps each name of ``weight_shapes(config)`` to its array;
+    without it the weights are drawn (``_draw_weights``).
+    """
+
+    def __init__(self, config: ModelConfig, dtype=np.float32,
+                 weights: dict[str, np.ndarray] | None = None):
         self.config = config
         self.dtype = np.dtype(dtype)
-        self.params: dict[str, Tensor] = {}
-        self._init_weights()
-
-    # -- construction -------------------------------------------------------
-
-    def _add(self, name, array):
-        self.params[name] = Tensor(array, requires_grad=True)
-
-    def _init_weights(self):
-        cfg = self.config
-        rng = np.random.default_rng(cfg.seed)
-        dt = self.dtype
-        if cfg.fusion_mode is FusionMode.CONCAT_TRUNCATE:
-            self._add("fuse.kernel", _he_conv(rng, 3, 4, 1, 1, dt))
-            self._add("fuse.bias", np.zeros(3, dtype=dt))
-        cin = 3
-        for s in range(1, cfg.encoder_stages + 1):
-            cout = cfg.base_channels * 2 ** (s - 1)
-            self._add(f"enc{s}.conv.kernel", _he_conv(rng, cout, cin, 3, 3, dt))
-            self._add(f"enc{s}.conv.bias", np.zeros(cout, dtype=dt))
-            self._add(f"enc{s}.down.kernel", _he_conv(rng, cout, cout, 3, 3, dt))
-            self._add(f"enc{s}.down.bias", np.zeros(cout, dtype=dt))
-            cin = cout
-        cur = cin
-        for s in range(cfg.encoder_stages, 0, -1):
-            skip_ch = cfg.base_channels * 2 ** (s - 1)
-            cat = cur + skip_ch
-            half = cat // 2
-            self._add(f"dec{s}.conv1.kernel", _he_conv(rng, half, cat, 3, 3, dt))
-            self._add(f"dec{s}.conv1.bias", np.zeros(half, dtype=dt))
-            self._add(f"dec{s}.conv2.kernel", _he_conv(rng, half, half, 3, 3, dt))
-            self._add(f"dec{s}.conv2.bias", np.zeros(half, dtype=dt))
-            cur = half
-        self._add("head.kernel", _he_conv(rng, 1, cur, 3, 3, dt))
-        # head bias starts at the logit of a mid-range reciprocal target, not
-        # zero: with zero bias the sigmoid sits at 0.5 while most targets are
-        # far below it, and low-step overfitting stalls
-        self._add("head.bias", np.full(1, -2.5, dtype=dt))
+        if weights is None:
+            weights = _draw_weights(config, self.dtype)
+        self.params: dict[str, Tensor] = {name: Tensor(weights[name], requires_grad=True)
+                                          for name in weight_shapes(config)}
 
     # -- forward ------------------------------------------------------------
 
@@ -257,8 +274,9 @@ def save_checkpoint(path, model: Model, extra: dict | None = None,
 def load_checkpoint(path):
     """Returns (model, extra state dict, optimizer moment arrays).
 
-    The model is built from the header's config first, and each tensor's
-    name and shape are checked against it before its data is read. Every
+    Each tensor's name and shape are checked against ``weight_shapes`` of
+    the header's config before its data is read, and the model is built
+    from the weights read, with none drawn. Every
     malformation is a ValueError naming the file, and the tensor where
     there is one: a bad header, a config ``ModelConfig`` rejects, a
     truncated file, trailing bytes, a tensor count other than the
@@ -308,10 +326,11 @@ def load_checkpoint(path):
     # older v1 files carry the reciprocal scale h, which the codec never read
     cfg_kv.pop("h_reciprocal", None)
     try:
-        model = Model(ModelConfig(**cfg_kv))
+        config = ModelConfig(**cfg_kv)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: bad config: {exc}") from None
-    seen, moments = set(), {}
+    shapes = weight_shapes(config)
+    seen, weights, moments = set(), {}, {}
     for k in range(n_tensors):
         if pos == len(blob):
             raise ValueError(f"{path}: the header declares {n_tensors} tensors, "
@@ -321,14 +340,14 @@ def load_checkpoint(path):
         name = take(nlen, where).decode("utf-8", errors="replace")
         is_moment = name.startswith(("adam.m.", "adam.v."))
         weight = name[len("adam.m."):] if is_moment else name
-        if weight not in model.params:
+        if weight not in shapes:
             raise ValueError(f"{path}: tensor {name!r} is neither a weight of the "
                              "configured model nor an Adam moment of one")
         if name in seen:
             raise ValueError(f"{path}: tensor {name!r} appears twice")
         seen.add(name)
         where = f"tensor {name!r}"
-        expected = model.params[weight].shape
+        expected = shapes[weight]
         (rank,) = struct.unpack("<I", take(4, where))
         if rank != len(expected):
             raise ValueError(f"{path}: tensor {name!r} has rank {rank}, the "
@@ -341,11 +360,11 @@ def load_checkpoint(path):
         if is_moment:
             moments[name] = arr.reshape(shape).copy()
         else:
-            model.params[name].data = arr.reshape(shape).astype(model.dtype)
+            weights[name] = arr.reshape(shape).astype(np.float32)
     if pos != len(blob):
         raise ValueError(f"{path}: {len(blob) - pos} trailing bytes after the "
                          f"{n_tensors} tensors the header declares")
-    missing = [name for name in model.params if name not in seen]
+    missing = [name for name in shapes if name not in seen]
     if missing:
         raise ValueError(f"{path}: weight {missing[0]!r} is missing")
-    return model, extra, moments
+    return Model(config, weights=weights), extra, moments

@@ -286,13 +286,25 @@ def _check_alpha(alpha):
         raise ValueError(f"leaky_relu: alpha must be in [0, 1), got {alpha}")
 
 
+# mask entries per slope lookup in _leaky_grad: take turns each block's
+# one-byte indices into 8-byte ones, 512 kB here, not 8 bytes per entry
+_LOOKUP_BLOCK = 1 << 16
+
+
 def _leaky_grad(g: np.ndarray, nonneg: np.ndarray, alpha: float) -> np.ndarray:
     """The gradient through a leaky ReLU: g where its input was >= 0 and
     alpha*g elsewhere. The slope (1 or alpha) is looked up by the boolean
     mask ``nonneg`` and multiplied by g, which gives the same bits as
     scaling g by alpha and copying g over it where the mask is set, in a
-    quarter of the time; the result is C-contiguous."""
-    slope = np.array([alpha, 1], dtype=g.dtype).take(nonneg.view(np.uint8))
+    quarter of the time. The lookup writes the result array a block at a
+    time (mode "clip" lets ``take`` write into it unbuffered; the indices
+    are 0 and 1), so it holds the result and one block of indices at most;
+    the result is C-contiguous."""
+    slope = np.empty(g.shape, dtype=g.dtype)
+    flat, index = slope.reshape(-1), nonneg.reshape(-1).view(np.uint8)
+    lut = np.array([alpha, 1], dtype=g.dtype)
+    for i in range(0, flat.size, _LOOKUP_BLOCK):
+        lut.take(index[i:i + _LOOKUP_BLOCK], out=flat[i:i + _LOOKUP_BLOCK], mode="clip")
     slope *= g
     return slope
 
@@ -380,11 +392,14 @@ def concat_channels(a: Tensor, b: Tensor) -> Tensor:
 
 
 # cap on the shifted-row stack of a conv2d backward pass; larger stacks are
-# built and multiplied in column blocks. Stacks above glibc's 32 MB mmap
-# threshold would map and fault fresh pages on every call, and a train step
-# runs one backward pass per core at once: on 2 vCPUs 96x160 batch-2
-# training peaked at 209 MB of RSS with 16 MB blocks and at 177 MB with 4 MB
-# blocks, and was no faster per step with the larger blocks.
+# built and multiplied in column blocks, and each block's columns of the
+# padded input are built for that block alone. The block edges set the
+# order in which the kernel gradient sums, so changing this cap changes its
+# bits. Stacks above glibc's 32 MB mmap threshold would map and fault fresh
+# pages on every call, and a train step runs one backward pass per core at
+# once: on 2 vCPUs 96x160 batch-2 training peaked at 209 MB of RSS with
+# 16 MB blocks and at 177 MB with 4 MB blocks, and was no faster per step
+# with the larger blocks.
 _ROW_BLOCK_BYTES = 4 << 20
 
 
@@ -404,11 +419,20 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor,
     ?gemm per tap: the first writes the output and the others add into it
     (beta = 1), with no temporary (numpy's matmul plus += where the loaded
     BLAS has no cblas ?gemm, and for a one-channel output, whose product
-    numpy computes with ?gemv). The graph keeps no padded copy: backward
-    pads the input again, from ``x.data``, only when the kernel needs a
-    gradient (Chen et al., "Training Deep Nets with Sublinear Memory Cost",
-    2016: one more padding pass per conv for about a third less graph
-    memory at 96x160).
+    numpy computes with ?gemv).
+
+    The graph keeps the output (and the mask below) and references to x,
+    kernel and bias, but no tap-major kernel copy and no padded input
+    (Chen et al., "Training Deep Nets with Sublinear Memory Cost", 2016:
+    backward builds both again from ``kernel.data`` and ``x.data``).
+    Backward holds one large buffer at a time beside the input gradient:
+    it drops the output gradient, and its leaky product, once they are
+    copied onto the padded grid, before the input gradient exists; then
+    one pass over column blocks of at most ``_ROW_BLOCK_BYTES`` stacks the
+    shifted gradient rows once for both GEMMs, and builds the padded
+    input's columns of that block alone for the kernel gradient. The sums
+    are those of the whole-buffer form; one 96x160 concat sample's
+    backward then peaks at 31.3 MB traced, against 44.8 MB.
 
     With ``leaky=alpha`` the output is ``leaky_relu(z, alpha)`` of the
     biased conv z, with the same bits, applied in place on z (the in-place
@@ -443,13 +467,24 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor,
     m = n * hs * ws
     xd = x.data
 
-    def padded():
-        """xf[a*s + b], the (cin, m) matrix of phase (a, b) of the padded
-        input; built again in backward rather than kept in the graph"""
-        xp = np.zeros((cin, n, hs * s, ws * s), dtype=dt)
-        xp[:, :, p:p + h, p:p + w] = xd.transpose(1, 0, 2, 3)
-        xf = xp.reshape(cin, n, hs, s, ws, s).transpose(3, 5, 0, 1, 2, 4)
-        return xf.reshape(s * s, cin, m)  # a view of xp when s == 1
+    def padded(r0, r1):
+        """Rows r0:r1 of the padded input's s*s phase images, the batch
+        stacked along the rows of an (n*hs, ws) grid, as an (s*s, cin,
+        (r1 - r0)*ws) stack; built from ``x.data``, so the graph keeps none"""
+        xf = np.zeros((s * s, cin, r1 - r0, ws), dtype=dt)
+        for a in range(s):
+            for b in range(s):
+                # phase pixel (u, v) is input pixel (u*s + a - p, v*s + b - p),
+                # so rows u0:u1 and columns v0:v1 of each image are inside
+                u0, u1 = -((a - p) // s), -((a - p - h) // s)
+                v0, v1 = -((b - p) // s), -((b - p - w) // s)
+                for img in range(r0 // hs, (r1 - 1) // hs + 1):
+                    lo, hi = max(r0, img * hs + u0), min(r1, img * hs + u1)
+                    if lo < hi:
+                        i0 = (lo - img * hs) * s + a - p
+                        xf[a * s + b, :, lo - r0:hi - r0, v0:v1] = \
+                            xd[img, :, i0:i0 + (hi - lo - 1) * s + 1:s, v0 * s + b - p::s]
+        return xf.reshape(s * s, cin, -1)
 
     # tap (i, j) reads phase a*s + b = (i % s)*s + j % s at column offset
     # (i // s)*ws + j // s; taps[t0:t1] are the taps of each phase
@@ -463,13 +498,14 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor,
                     ki.append(i)
                     kj.append(j)
             phases.append((a * s + b, t0, len(taps)))
-    kt = kernel.data[:, :, ki, kj].transpose(2, 0, 1).copy()  # (taps, cout, cin)
     d = max(o for _, o in taps)
     cols = m - d  # output pixels sit in the first `cols` grid columns
 
-    # one GEMM per tap on shifted views, which BLAS reads in place
+    # one GEMM per tap on shifted views, which BLAS reads in place; the
+    # tap-major kernel copy (taps, cout, cin) lives for this call only
     y = np.empty((cout, m), dtype=dt)  # columns from `cols` on are never read
-    tap_gemm(kt, padded(), taps, y[:, :cols])
+    tap_gemm(kernel.data[:, :, ki, kj].transpose(2, 0, 1).copy(), padded(0, n * hs),
+             taps, y[:, :cols])
     data = np.empty((n, cout, ho, wo), dtype=dt)
     np.add(y.reshape(cout, n, hs, ws)[:, :, :ho, :wo].transpose(1, 0, 2, 3),
            bias.data.reshape(1, cout, 1, 1), out=data)
@@ -479,7 +515,9 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor,
         np.maximum(data * leaky, data, out=data)
 
     def bw():
-        g = out.grad
+        # the output gradient and its leaky product are dropped once gz
+        # holds them, before the large buffers below exist
+        g, out.grad = out.grad, None
         if leaky is not None:
             g = _leaky_grad(g, nonneg, leaky)
         if bias.requires_grad:
@@ -487,22 +525,30 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor,
         # the output gradient on the padded grid, behind d zero columns
         gz = np.zeros((cout, d + m), dtype=dt)
         gz[:, d:].reshape(cout, n, hs, ws)[:, :, :ho, :wo] = g.transpose(1, 0, 2, 3)
-        # gk[t*cout + c] is the gradient of kt[t, c]
-        gk = xf = gx = None
+        del g
+        # gk[t*cout + c] is the gradient of kernel tap t's (cout, cin) slice
+        gk = gx = None
         if kernel.requires_grad:
             gk = np.zeros((len(taps) * cout, cin), dtype=dt)
-            xf = padded()
         if x.requires_grad:
             # the GEMMs overwrite every column of each phase that has a tap;
             # a 1x1 kernel at stride 2 leaves three phases unwritten
             gx = (np.empty if len(phases) == s * s else np.zeros)((s * s, cin, m), dtype=dt)
-            # kmat[blk] is (cin, phase taps * cout), the kernel of phase blk
-            kmat = {blk: kt[t0:t1].transpose(2, 0, 1).reshape(cin, -1)
-                    for blk, t0, t1 in phases}
+            # kmat[blk] is (cin, phase taps * cout), the kernel of phase blk,
+            # the transpose of a C-contiguous (taps, cout, cin) stack as in
+            # forward: a one-tap phase is then a transposed view, which BLAS
+            # takes; a strided one would take numpy's own matmul loop, and a
+            # C-contiguous copy changed the sums too
+            kmat = {}
+            for blk, _, _ in phases:
+                kt = np.ascontiguousarray(
+                    kernel.data[:, :, blk // s::s, blk % s::s].transpose(2, 3, 0, 1))
+                kmat[blk] = kt.reshape(-1, cout, cin).transpose(2, 0, 1).reshape(cin, -1)
         # input pixel q meets the gradient of output pixel q - o through
         # tap o, which is column d - o + q of gz; both gradients are one
         # GEMM per phase against this stack of shifted rows, built for at
-        # most _ROW_BLOCK_BYTES of columns at a time
+        # most _ROW_BLOCK_BYTES of columns at a time, and so is the padded
+        # input the kernel gradient reads
         width = max(1, _ROW_BLOCK_BYTES // (len(taps) * cout * gz.itemsize))
         stack = np.empty((len(taps) * cout, min(width, m)), dtype=dt)
         for c0 in range(0, m, width):
@@ -510,12 +556,14 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor,
             rows = stack[:, :c1 - c0]
             for t, (_, o) in enumerate(taps):
                 rows[t * cout:(t + 1) * cout] = gz[:, d - o + c0:d - o + c1]
-            for blk, t0, t1 in phases:
-                r = rows[t0 * cout:t1 * cout]
-                if gk is not None:
-                    gk[t0 * cout:t1 * cout] += r @ xf[blk, :, c0:c1].T
-                if gx is not None:
-                    np.matmul(kmat[blk], r, out=gx[blk, :, c0:c1])
+            if gk is not None:  # from the whole grid rows holding columns c0:c1
+                xf = padded(c0 // ws, -(-c1 // ws))[:, :, c0 % ws:c0 % ws + c1 - c0]
+                for blk, t0, t1 in phases:
+                    gk[t0 * cout:t1 * cout] += rows[t0 * cout:t1 * cout] @ xf[blk].T
+                del xf
+            if gx is not None:
+                for blk, t0, t1 in phases:
+                    np.matmul(kmat[blk], rows[t0 * cout:t1 * cout], out=gx[blk, :, c0:c1])
         if gk is not None:
             full = np.empty(kernel.shape, dtype=dt)
             full[:, :, ki, kj] = gk.reshape(len(taps), cout, cin).transpose(1, 2, 0)

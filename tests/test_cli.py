@@ -219,6 +219,12 @@ def test_malformed_inputs_exit_one(workspace, capsys):
         for path in D.sample_paths(data, "000001").values():
             shutil.copy(path, split)
         (split / "000001_meta.txt").write_bytes(text)
+    for key in ("sparse", "gt"):  # a 32x16 map beside a 32x32 RGB image
+        split = bad / f"split_{key}_size"
+        split.mkdir()
+        for path in D.sample_paths(data, "000001").values():
+            shutil.copy(path, split)
+        D.save_depth_pgm(np.full((16, 32), 5.0), split / f"000001_{key}.pgm")
     out = str(bad / "never.pgm")
 
     def gen(mix):
@@ -281,6 +287,10 @@ def test_malformed_inputs_exit_one(workspace, capsys):
          + ":2: weather='zzz' is not one of day, night, fog, rain, cloudy"),
         (evaluate("noweather"), meta("noweather")
          + ": missing key 'weather' (the file ends at line 2)"),
+        (evaluate("sparse_size"), str(bad / "split_sparse_size" / "000001_sparse.pgm")
+         + ": size 32x16 differs from the RGB image's 32x32"),
+        (evaluate("gt_size"), str(bad / "split_gt_size" / "000001_gt.pgm")
+         + ": size 32x16 differs from the RGB image's 32x32"),
     ]
     for argv, message in cases:
         assert main([str(a) for a in argv]) == 1

@@ -150,6 +150,25 @@ def test_checkpoint_round_trip_byte_stable(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_loading_draws_no_weights(tmp_path, monkeypatch):
+    from depthfusion import model as MD
+    model = build_model(TINY)
+    assert {n: p.shape for n, p in model.params.items()} == MD.weight_shapes(TINY)
+    assert list(model.params) == list(MD.weight_shapes(TINY))
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, model)
+
+    def draw(*args):
+        raise AssertionError("load_checkpoint drew a kernel")
+
+    monkeypatch.setattr(MD, "_he_conv", draw)
+    back, _, _ = load_checkpoint(path)
+    for name, p in model.params.items():
+        got = back.params[name].data
+        assert got.dtype == np.float32 and got.flags.writeable and got.flags.c_contiguous
+        assert got.tobytes() == p.data.tobytes()
+
+
 def test_checkpoint_random_models_round_trip(tmp_path):
     rng = np.random.default_rng(6)
     model = build_model(TINY)

@@ -80,6 +80,7 @@ CONV_CASES = [
     (1, 5, 3, 1, 2, 1, 6, 6),
     (3, 4, 4, 3, 1, 0, 5, 5),
     (1, 3, 8, 3, 2, 1, 9, 7),
+    (2, 3, 4, 3, 2, 1, 7, 9),
 ]
 
 
@@ -291,27 +292,92 @@ def test_shared_gradient_is_not_written_by_a_later_sum():
                          [c for c in CONV_CASES if c[3] > 1])
 def test_conv2d_backward_in_column_blocks(monkeypatch, block_bytes,
                                           n, cin, cout, k, stride, pad, h, w):
-    # 1 byte gives one-column blocks, 2000 bytes blocks of 1 to 27 columns
+    # 1 byte gives one-column blocks, 2000 bytes blocks of 1 to 27 columns,
+    # some spanning two images; the leaky slope is looked up 5 entries at a time
     monkeypatch.setattr(T, "_ROW_BLOCK_BYTES", block_bytes)
+    monkeypatch.setattr(T, "_LOOKUP_BLOCK", 5)
     rng = np.random.default_rng(cin * 100 + cout * 10 + k)
     x = t(rng.normal(size=(n, cin, h, w)))
     kern = t(rng.normal(size=(cout, cin, k, k)))
     b = t(rng.normal(size=cout))
-    out = T.conv2d(x, kern, b, stride=stride, padding=pad)
+    out = T.conv2d(x, kern, b, stride=stride, padding=pad, leaky=0.2)
     g = rng.normal(size=out.shape)
     grads = T.backward(T.sum_all(out * t(g, grad=False)))
-    want = _conv_reference(x.data, kern.data, b.data, stride, pad, g)
+    want = _conv_reference(x.data, kern.data, b.data, stride, pad,
+                           np.where(out.data >= 0, g, 0.2 * g))
     for got, ref in zip((grads[x], grads[kern], grads[b]), want[1:]):
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+def _grads_from_whole_buffers(x, k, s, p, g, block_bytes):
+    """conv2d's input and kernel gradients with its GEMMs in its order, but
+    from the whole padded input and kernel matrices sliced from a tap-major
+    kernel copy, as conv2d built them before it rebuilt the padded input
+    per column block: the bits a backward pass must keep"""
+    n, cin, h, w = x.shape
+    cout, _, kh, kw = k.shape
+    hs, ws = -(-(h + 2 * p) // s), -(-(w + 2 * p) // s)
+    m = n * hs * ws
+    xp = np.zeros((cin, n, hs * s, ws * s), dtype=x.dtype)
+    xp[:, :, p:p + h, p:p + w] = x.transpose(1, 0, 2, 3)
+    xf = xp.reshape(cin, n, hs, s, ws, s).transpose(3, 5, 0, 1, 2, 4).reshape(s * s, cin, m)
+    taps = [(a, b, i, j) for a in range(min(s, kh)) for b in range(min(s, kw))
+            for i in range(a, kh, s) for j in range(b, kw, s)]
+    offsets = [(i // s) * ws + j // s for _, _, i, j in taps]
+    kt = k[:, :, [t[2] for t in taps], [t[3] for t in taps]].transpose(2, 0, 1).copy()
+    phases = {}
+    for t, (a, b, _, _) in enumerate(taps):
+        phases.setdefault(a * s + b, []).append(t)
+    d = max(offsets)
+    gz = np.zeros((cout, d + m), dtype=x.dtype)
+    gz[:, d:].reshape(cout, n, hs, ws)[:, :, :g.shape[2], :g.shape[3]] = g.transpose(1, 0, 2, 3)
+    gk = np.zeros((len(taps) * cout, cin), dtype=x.dtype)
+    gx = np.zeros((s * s, cin, m), dtype=x.dtype)
+    width = max(1, block_bytes // (len(taps) * cout * x.itemsize))
+    for c0 in range(0, m, width):
+        c1 = min(c0 + width, m)
+        rows = np.concatenate([gz[:, d - o + c0:d - o + c1] for o in offsets])
+        for blk, ts in phases.items():
+            r = rows[ts[0] * cout:(ts[-1] + 1) * cout]
+            gk[ts[0] * cout:(ts[-1] + 1) * cout] += r @ xf[blk, :, c0:c1].T
+            kmat = kt[ts[0]:ts[-1] + 1].transpose(2, 0, 1).reshape(cin, -1)
+            gx[blk, :, c0:c1] = kmat @ r
+    gx = gx.reshape(s, s, cin, n, hs, ws).transpose(2, 3, 4, 0, 5, 1)
+    gx = gx.reshape(cin, n, hs * s, ws * s)[:, :, p:p + h, p:p + w].transpose(1, 0, 2, 3)
+    full = np.zeros_like(k)
+    for t, (_, _, i, j) in enumerate(taps):
+        full[:, :, i, j] = gk[t * cout:(t + 1) * cout]
+    return gx, full
+
+
+@pytest.mark.parametrize("block_bytes", [2000, 4 << 20])
+@pytest.mark.parametrize("n, cin, cout, stride, h, w", [
+    (1, 32, 32, 2, 6, 6),  # one-tap phases of 20 columns, which BLAS sums
+    (2, 8, 8, 2, 9, 7),    # apart from numpy's own matmul loop
+    (1, 16, 8, 1, 12, 10), (2, 3, 8, 1, 5, 9)])
+def test_conv2d_backward_keeps_the_bits_of_whole_buffers(monkeypatch, block_bytes,
+                                                        n, cin, cout, stride, h, w):
+    monkeypatch.setattr(T, "_ROW_BLOCK_BYTES", block_bytes)
+    rng = np.random.default_rng(n * 1000 + cin * 10 + stride)
+    xs = rng.normal(size=(n, cin, h, w)).astype(np.float32)
+    ks = rng.normal(size=(cout, cin, 3, 3)).astype(np.float32)
+    x, k = t(xs, dtype=np.float32), t(ks, dtype=np.float32)
+    out = T.conv2d(x, k, t(np.zeros(cout), dtype=np.float32), stride=stride, padding=1)
+    g = rng.normal(size=out.shape).astype(np.float32)
+    grads = T.backward(T.sum_all(out * t(g, grad=False, dtype=np.float32)))
+    gx, gk = _grads_from_whole_buffers(xs, ks, stride, 1, g, block_bytes)
+    assert grads[x].tobytes() == gx.tobytes()
+    assert grads[k].tobytes() == gk.tobytes()
+
+
 def test_conv2d_graph_keeps_no_padded_input():
-    # backward pads the input again, so a graph node holds its output and
-    # the tap-major kernel copy; the padded input (about 1 MB) is not kept
+    # backward pads the input again and builds its kernel matrices from the
+    # kernel, so a graph node holds its output alone: not the padded input
+    # (about 1 MB) nor a tap-major kernel copy (147 kB)
     rng = np.random.default_rng(0)
-    x = t(rng.normal(size=(1, 16, 96, 160)), dtype=np.float32)
-    k = t(rng.normal(size=(16, 16, 3, 3)), dtype=np.float32)
-    b = t(np.zeros(16), dtype=np.float32)
+    x = t(rng.normal(size=(1, 64, 48, 80)), dtype=np.float32)
+    k = t(rng.normal(size=(64, 64, 3, 3)), dtype=np.float32)
+    b = t(np.zeros(64), dtype=np.float32)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -320,7 +386,29 @@ def test_conv2d_graph_keeps_no_padded_input():
     finally:
         tracemalloc.stop()
     assert out.requires_grad
-    assert grown < out.data.nbytes + k.data.nbytes + (64 << 10), grown
+    assert grown < out.data.nbytes + (64 << 10), grown
+
+
+@pytest.mark.parametrize("contiguous", [True, False])
+def test_leaky_grad_holds_its_result_and_one_block(contiguous):
+    # the slope lookup turns one block of one-byte indices into 8-byte ones
+    # at a time, not all 491,520 of a 32x96x160 gradient (3.9 MB) at once
+    rng = np.random.default_rng(5)
+    g = rng.normal(size=(1, 32, 98, 162)).astype(np.float32)[:, :, 1:-1, 1:-1]
+    if contiguous:
+        g = np.ascontiguousarray(g)
+    nonneg = rng.normal(size=g.shape) >= 0
+    want = np.array([0.2, 1], dtype=np.float32).take(nonneg.view(np.uint8)) * g
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        got = T._leaky_grad(g, nonneg, 0.2)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
+    assert peak < got.nbytes + 8 * T._LOOKUP_BLOCK + (64 << 10), peak
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -494,3 +582,33 @@ def test_model_graph_keeps_one_array_per_layer():
     assert weight_grads[0] == weight_grads[1]
     saved = sum(a.nbytes - a.size for a in pre) + sum(a.nbytes for a in up)
     assert unfused_bytes - fused_bytes >= saved, (unfused_bytes, fused_bytes, saved)
+
+
+def test_sample_backward_peak_is_bounded():
+    # one 96x160 concat sample's backward under the training losses: each
+    # conv drops its output gradient once it is on the padded grid, and
+    # builds its padded input a column block at a time, so the traced peak
+    # over the start of the forward reads 31.3 MB, where a graph keeping
+    # tap-major kernel copies and a backward holding the whole padded
+    # input beside the input gradient read 44.8 MB
+    from depthfusion.losses import loss_total
+    from depthfusion.model import FusionMode, ModelConfig, build_model
+    from depthfusion.trainer import TrainConfig
+    model = build_model(ModelConfig(fusion_mode=FusionMode.CONCAT_TRUNCATE))
+    rng = np.random.default_rng(0)
+    rgb, sparse, target = (Tensor(a.astype(np.float32)) for a in (
+        rng.uniform(size=(1, 3, 96, 160)),
+        rng.uniform(size=(1, 1, 96, 160)) * (rng.uniform(size=(1, 1, 96, 160)) < 0.05),
+        rng.uniform(0.01, 0.5, size=(1, 1, 96, 160))))
+    cfg = TrainConfig()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        loss = loss_total(model.predict(rgb, sparse), target, cfg.loss_weights, cfg.loss_kind)
+        tracemalloc.reset_peak()
+        T.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert all(p.grad is not None for p in model.params.values())
+    assert peak < 36e6, peak
