@@ -145,9 +145,19 @@ def cmd_train(args):
     return 0
 
 
+def _check_size(model, path, image):
+    """A ValidationError naming ``path`` when ``image`` differs in size from
+    the model's configured input."""
+    (h, w), cfg = image.shape[:2], model.config
+    if (h, w) != (cfg.input_height, cfg.input_width):
+        raise ValidationError(f"{path}: size {w}x{h} differs from the checkpoint's "
+                              f"configured {cfg.input_width}x{cfg.input_height}")
+
+
 def cmd_predict(args):
     model = load_checkpoint(args.checkpoint)[0]  # the Adam moments are freed at once
     rgb = D.load_ppm(args.rgb)
+    _check_size(model, args.rgb, rgb)
     sparse = D.load_depth_pgm(args.sparse) if args.sparse else None
     mode = model.config.fusion_mode
     if mode is FusionMode.RGB_ONLY and sparse is not None:
@@ -157,6 +167,8 @@ def cmd_predict(args):
     if mode is not FusionMode.RGB_ONLY and sparse is None:
         raise ValidationError(
             f"checkpoint fusion mode {mode.value!r} requires --sparse")
+    if sparse is not None:
+        _check_size(model, args.sparse, sparse)
     depth = model.predict_depth(rgb, sparse)
     D.save_depth_pgm(depth, args.out)
     if args.vis:
@@ -181,8 +193,14 @@ def cmd_eval(args):
             sys.stderr.write(json.dumps(
                 {"warning": f"sample {sample_id} has no groundtruth; skipped"})
                 + "\n")
-    samples = (D.load_sample(args.split_dir, i) for i in evaluable)
-    reports = dict(zip(evaluable, M.evaluate(model, samples, divisor)))
+
+    def samples():  # each checked as it loads, before it is predicted
+        for i in evaluable:
+            sample = D.load_sample(args.split_dir, i)
+            _check_size(model, D.sample_paths(args.split_dir, i)["rgb"], sample.rgb)
+            yield sample
+
+    reports = dict(zip(evaluable, M.evaluate(model, samples(), divisor)))
     if not reports:
         raise ValidationError("no evaluable samples in split")
     agg = M.mean_report(list(reports.values()))

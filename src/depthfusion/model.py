@@ -166,7 +166,10 @@ class Model:
         applies its leaky ReLU in place (``conv2d(..., leaky=)``), and each
         decoder stage upsamples straight into its skip concatenation
         (``bilinear_upsample2x(x, skip)``), so the graph keeps one array
-        per layer."""
+        per layer. Each decoder stage pops its skip, drops its upsampled
+        input once concatenated and the concatenation once ``conv1`` has
+        run, so under ``no_grad`` no activation outlives its last
+        consumer; with a graph, the nodes keep what backward needs."""
         cfg = self.config
         if fused.shape[1] != 3 or fused.shape[2] != cfg.input_height \
                 or fused.shape[3] != cfg.input_width:
@@ -184,8 +187,12 @@ class Model:
             skips.append(conv(f"enc{s}.conv", x))
             x = conv(f"enc{s}.down", skips[-1], stride=2)
         for s in range(cfg.encoder_stages, 0, -1):
-            x = T.bilinear_upsample2x(x, skips[s - 1])
-            x = conv(f"dec{s}.conv2", conv(f"dec{s}.conv1", x))
+            # each assignment drops the array it replaces: the skip and the
+            # upsampled input once concatenated, the concatenation once
+            # conv1 has read it
+            x = T.bilinear_upsample2x(x, skips.pop())
+            x = conv(f"dec{s}.conv1", x)
+            x = conv(f"dec{s}.conv2", x)
         logits = T.conv2d(x, self.params["head.kernel"], self.params["head.bias"],
                           stride=1, padding=1)
         return T.sigmoid(logits)
@@ -263,7 +270,7 @@ def save_checkpoint(path, model: Model, extra: dict | None = None,
                 f.write(struct.pack("<I", a32.ndim))
                 for ext in a32.shape:
                     f.write(struct.pack("<I", ext))
-                f.write(a32.tobytes())
+                f.write(a32)  # from the array's own buffer, with no copy
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -274,96 +281,102 @@ def save_checkpoint(path, model: Model, extra: dict | None = None,
 def load_checkpoint(path):
     """Returns (model, extra state dict, optimizer moment arrays).
 
-    Each tensor's name and shape are checked against ``weight_shapes`` of
-    the header's config before its data is read, and the model is built
-    from the weights read, with none drawn. Every
-    malformation is a ValueError naming the file, and the tensor where
-    there is one: a bad header, a config ``ModelConfig`` rejects, a
-    truncated file, trailing bytes, a tensor count other than the
-    header's, a name that is neither a weight of the configured model nor
-    an Adam moment (``adam.m.*``, ``adam.v.*``) of one, a repeated name, a
-    rank or shape other than the config's, and a missing weight.
+    The file is read as it is parsed: the header line by line, then each
+    tensor's bytes straight into its float32 array (``readinto``), once
+    its name and shape are checked against ``weight_shapes`` of the
+    header's config and the file is known to hold its bytes. So loading
+    holds one copy of each tensor, and a header that declares more data
+    than the file holds allocates nothing for it. The model is built from
+    the weights read, with none drawn. Every malformation is a ValueError
+    naming the file, and the tensor where there is one: a bad header, a
+    config ``ModelConfig`` rejects, a truncated file, trailing bytes, a
+    tensor count other than the header's, a name that is neither a weight
+    of the configured model nor an Adam moment (``adam.m.*``, ``adam.v.*``)
+    of one, a repeated name, a rank or shape other than the config's, a
+    NaN or infinite value, and a missing weight.
     """
     with open(path, "rb") as f:
-        blob = f.read()
-    pos = 0
+        size = os.fstat(f.fileno()).st_size
 
-    def take(nbytes, what):
-        nonlocal pos
-        if pos + nbytes > len(blob):
-            raise ValueError(f"{path}: file is truncated in {what}")
-        pos += nbytes
-        return blob[pos - nbytes:pos]
+        def room(nbytes, what):
+            if nbytes > size - f.tell():
+                raise ValueError(f"{path}: file is truncated in {what}")
 
-    def header_line():
-        nonlocal pos
-        end = blob.find(b"\n", pos)
-        if end < 0:
-            raise ValueError(f"{path}: file is truncated in the header")
-        line = blob[pos:end].decode("utf-8", errors="replace")
-        pos = end + 1
-        return line
+        def take(nbytes, what):
+            room(nbytes, what)
+            return f.read(nbytes)
 
-    if header_line() != CHECKPOINT_MAGIC:
-        raise ValueError(f"{path}: not a depthfusion checkpoint")
-    cfg_kv = {}
-    extra = {}
-    n_tensors = None
-    while n_tensors is None:
-        line = header_line()
-        key, _, value = line.partition("=")
+        def header_line():
+            line = f.readline()
+            if not line.endswith(b"\n"):
+                raise ValueError(f"{path}: file is truncated in the header")
+            return line[:-1].decode("utf-8", errors="replace")
+
+        if header_line() != CHECKPOINT_MAGIC:
+            raise ValueError(f"{path}: not a depthfusion checkpoint")
+        cfg_kv = {}
+        extra = {}
+        n_tensors = None
+        while n_tensors is None:
+            line = header_line()
+            key, _, value = line.partition("=")
+            try:
+                if key == "tensors":
+                    n_tensors = int(value)
+                elif key.startswith("config."):
+                    cfg_kv[key[len("config."):]] = ast.literal_eval(value)
+                elif key.startswith("state."):
+                    extra[key[len("state."):]] = ast.literal_eval(value)
+                else:
+                    raise ValueError("unknown key")
+            except (ValueError, SyntaxError):
+                raise ValueError(f"{path}: bad header line {line!r}") from None
+        # older v1 files carry the reciprocal scale h, which the codec never read
+        cfg_kv.pop("h_reciprocal", None)
         try:
-            if key == "tensors":
-                n_tensors = int(value)
-            elif key.startswith("config."):
-                cfg_kv[key[len("config."):]] = ast.literal_eval(value)
-            elif key.startswith("state."):
-                extra[key[len("state."):]] = ast.literal_eval(value)
+            config = ModelConfig(**cfg_kv)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: bad config: {exc}") from None
+        shapes = weight_shapes(config)
+        seen, weights, moments = set(), {}, {}
+        for k in range(n_tensors):
+            if f.tell() == size:
+                raise ValueError(f"{path}: the header declares {n_tensors} tensors, "
+                                 f"the file holds {k}")
+            where = f"tensor {k + 1} of {n_tensors}"
+            (nlen,) = struct.unpack("<I", take(4, where))
+            name = take(nlen, where).decode("utf-8", errors="replace")
+            is_moment = name.startswith(("adam.m.", "adam.v."))
+            weight = name[len("adam.m."):] if is_moment else name
+            if weight not in shapes:
+                raise ValueError(f"{path}: tensor {name!r} is neither a weight of the "
+                                 "configured model nor an Adam moment of one")
+            if name in seen:
+                raise ValueError(f"{path}: tensor {name!r} appears twice")
+            seen.add(name)
+            where = f"tensor {name!r}"
+            expected = shapes[weight]
+            (rank,) = struct.unpack("<I", take(4, where))
+            if rank != len(expected):
+                raise ValueError(f"{path}: tensor {name!r} has rank {rank}, the "
+                                 f"config gives shape {expected}")
+            shape = struct.unpack(f"<{rank}I", take(4 * rank, where))
+            if shape != expected:
+                raise ValueError(f"{path}: tensor {name!r} has shape {shape}, the "
+                                 f"config gives {expected}")
+            room(4 * math.prod(shape), where)
+            arr = np.empty(shape, dtype="<f4")
+            if f.readinto(arr) != arr.nbytes:  # the file shrank while read
+                raise ValueError(f"{path}: file is truncated in {where}")
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{path}: tensor {name!r} holds a NaN or infinite value")
+            if is_moment:
+                moments[name] = arr
             else:
-                raise ValueError("unknown key")
-        except (ValueError, SyntaxError):
-            raise ValueError(f"{path}: bad header line {line!r}") from None
-    # older v1 files carry the reciprocal scale h, which the codec never read
-    cfg_kv.pop("h_reciprocal", None)
-    try:
-        config = ModelConfig(**cfg_kv)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: bad config: {exc}") from None
-    shapes = weight_shapes(config)
-    seen, weights, moments = set(), {}, {}
-    for k in range(n_tensors):
-        if pos == len(blob):
-            raise ValueError(f"{path}: the header declares {n_tensors} tensors, "
-                             f"the file holds {k}")
-        where = f"tensor {k + 1} of {n_tensors}"
-        (nlen,) = struct.unpack("<I", take(4, where))
-        name = take(nlen, where).decode("utf-8", errors="replace")
-        is_moment = name.startswith(("adam.m.", "adam.v."))
-        weight = name[len("adam.m."):] if is_moment else name
-        if weight not in shapes:
-            raise ValueError(f"{path}: tensor {name!r} is neither a weight of the "
-                             "configured model nor an Adam moment of one")
-        if name in seen:
-            raise ValueError(f"{path}: tensor {name!r} appears twice")
-        seen.add(name)
-        where = f"tensor {name!r}"
-        expected = shapes[weight]
-        (rank,) = struct.unpack("<I", take(4, where))
-        if rank != len(expected):
-            raise ValueError(f"{path}: tensor {name!r} has rank {rank}, the "
-                             f"config gives shape {expected}")
-        shape = struct.unpack(f"<{rank}I", take(4 * rank, where))
-        if shape != expected:
-            raise ValueError(f"{path}: tensor {name!r} has shape {shape}, the "
-                             f"config gives {expected}")
-        arr = np.frombuffer(take(4 * math.prod(shape), where), dtype="<f4")
-        if is_moment:
-            moments[name] = arr.reshape(shape).copy()
-        else:
-            weights[name] = arr.reshape(shape).astype(np.float32)
-    if pos != len(blob):
-        raise ValueError(f"{path}: {len(blob) - pos} trailing bytes after the "
-                         f"{n_tensors} tensors the header declares")
+                weights[name] = arr.astype(np.float32, copy=False)
+        if f.tell() != size:
+            raise ValueError(f"{path}: {size - f.tell()} trailing bytes after the "
+                             f"{n_tensors} tensors the header declares")
     missing = [name for name in shapes if name not in seen]
     if missing:
         raise ValueError(f"{path}: weight {missing[0]!r} is missing")

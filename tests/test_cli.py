@@ -12,7 +12,7 @@ from depthfusion.cli import _train_configs, build_parser, depth_colormap, main
 from depthfusion.densify import DensifyConfig, densify
 from depthfusion.losses import PixelLossKind
 from depthfusion.model import (FusionMode, Model, ModelConfig, build_model,
-                               save_checkpoint)
+                               load_checkpoint, save_checkpoint)
 
 
 @pytest.fixture(scope="module")
@@ -438,6 +438,46 @@ def test_truncated_checkpoint_exits_one(workspace, capsys):
     assert code == 1
     err = json.loads(capsys.readouterr().err.splitlines()[-1])
     assert err["code"] == 1 and "truncated" in err["error"]
+
+
+def test_non_finite_checkpoint_exits_one(workspace, capsys):
+    model, extra, moments = load_checkpoint(workspace["ckpt"])
+    model.params["enc1.conv.kernel"].data[0, 0, 0, 0] = np.nan
+    bad = workspace["root"] / "nan.ckpt"
+    save_checkpoint(bad, model, extra=extra, moments=moments)
+    out = workspace["root"] / "nan_eval"
+    assert main(["eval", "--checkpoint", str(bad), "--split-dir",
+                 str(workspace["data"]), "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert err["error"] == (f"{bad}: tensor 'enc1.conv.kernel' holds a NaN or "
+                            "infinite value")
+    assert not out.exists()
+
+
+def test_frame_of_another_size_exits_one_naming_its_file(workspace, capsys):
+    root, data, ckpt = workspace["root"], workspace["data"], str(workspace["ckpt"])
+    wide = root / "wide"
+    assert main(["gen-data", "--count", "1", "--out", str(wide), "--seed", "3",
+                 "--width", "64", "--height", "32"]) == 0
+    capsys.readouterr()
+    message = "size 64x32 differs from the checkpoint's configured 32x32"
+
+    def fails(argv, path):
+        assert main(argv) == 1
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err == {"error": f"{path}: {message}", "code": 1}
+
+    out = root / "wide_eval"
+    fails(["eval", "--checkpoint", ckpt, "--split-dir", str(wide), "--out", str(out)],
+          wide / "000000_rgb.ppm")
+    assert not out.exists()
+    predict = ["predict", "--checkpoint", ckpt, "--out", str(root / "wide.pgm")]
+    fails(predict + ["--rgb", str(wide / "000000_rgb.ppm"),
+                     "--sparse", str(data / "000000_sparse.pgm")], wide / "000000_rgb.ppm")
+    fails(predict + ["--rgb", str(data / "000000_rgb.ppm"),
+                     "--sparse", str(wide / "000000_sparse.pgm")],
+          wide / "000000_sparse.pgm")
+    assert not (root / "wide.pgm").exists()
 
 
 def test_train_with_fewer_samples_than_batch_exits_one(workspace, capsys):

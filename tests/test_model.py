@@ -1,3 +1,6 @@
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -204,6 +207,91 @@ def test_predict_depth_builds_no_graph_and_matches_graph_forward():
     assert graph._backward_fn is not None
     expected = codec.decode(graph.data.astype(np.float64))[:, 0]
     assert model.predict_depth(rgb, sparse_m).tobytes() == expected.tobytes()
+
+
+def _traced_peak(fn):
+    """The traced peak while ``fn`` runs, over what was traced before."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_predict_depth_peak_is_bounded():
+    # each decoder stage drops its skip and upsampled input once
+    # concatenated, and the concatenation once conv1 has read it: a 96x160
+    # concat frame peaks at 13.1 MB traced, where holding every skip and
+    # the concatenation through conv2 read 14.9 MB
+    model = build_model(ModelConfig(fusion_mode=FusionMode.CONCAT_TRUNCATE))
+    rng = np.random.default_rng(0)
+    rgb = rng.uniform(size=(96, 160, 3))
+    sparse = rng.uniform(1, 50, size=(96, 160)) * (rng.uniform(size=(96, 160)) < 0.05)
+    expected = model.predict_depth(rgb, sparse)
+    peak = _traced_peak(lambda: model.predict_depth(rgb, sparse))
+    assert peak < 13.3e6, peak
+    assert model.predict_depth(rgb, sparse).tobytes() == expected.tobytes()
+
+
+def test_loading_holds_one_copy_of_each_tensor(tmp_path):
+    # each tensor is read straight into its array: the traced peak stays
+    # within 1 MB of the tensors' bytes, where reading the whole file and
+    # copying each tensor out of it took twice them
+    model = build_model(ModelConfig(fusion_mode=FusionMode.CONCAT_TRUNCATE))
+    moments = {f"adam.{kind}.{name}": np.full(p.shape, 1e-3, np.float32)
+               for kind in "mv" for name, p in model.params.items()}
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, model, extra={"epoch": 1}, moments=moments)
+    tensor_bytes = sum(p.data.nbytes for p in model.params.values()) \
+        + sum(a.nbytes for a in moments.values())
+    loaded = []
+    peak = _traced_peak(lambda: loaded.append(load_checkpoint(path)))
+    assert peak < tensor_bytes + 1e6, (peak, tensor_bytes)
+    back, _, back_moments = loaded[0]
+    for name, p in model.params.items():
+        assert back.params[name].data.tobytes() == p.data.tobytes()
+    assert {k: v.tobytes() for k, v in back_moments.items()} == \
+        {k: v.tobytes() for k, v in moments.items()}
+
+
+def test_header_larger_than_file_is_refused_before_allocating(tmp_path):
+    # a config of 2^20 base channels gives enc1.conv.kernel 113 MB; the
+    # file ends after that tensor's shape, so nothing is allocated for it
+    blob = _saved(tmp_path, build_model(TINY)).read_bytes()
+    header = blob[:blob.index(b"tensors=")].replace(b"config.base_channels=2\n",
+                                                    b"config.base_channels=1048576\n")
+    name = b"enc1.conv.kernel"
+    bad = tmp_path / "big.ckpt"
+    bad.write_bytes(header + b"tensors=1\n" + struct.pack("<I", len(name)) + name
+                    + struct.pack("<5I", 4, 1 << 20, 3, 3, 3))
+    errors = []
+
+    def load():
+        with pytest.raises(ValueError) as info:
+            load_checkpoint(bad)
+        errors.append(str(info.value))
+
+    peak = _traced_peak(load)
+    assert errors == [f"{bad}: file is truncated in tensor 'enc1.conv.kernel'"]
+    assert peak < 1e6, peak
+
+
+@pytest.mark.parametrize("name,value", [("enc1.conv.kernel", np.nan),
+                                        ("adam.v.head.bias", np.inf),
+                                        ("adam.m.fuse.kernel", -np.inf)])
+def test_checkpoint_rejects_non_finite_values(tmp_path, name, value):
+    model = build_model(TINY)
+    moments = {f"adam.{kind}.{w}": np.zeros(p.shape, np.float32)
+               for kind in "mv" for w, p in model.params.items()}
+    arrays = {w: p.data for w, p in model.params.items()} | moments
+    arrays[name].flat[-1] = value
+    path = _saved(tmp_path, model, moments=moments)
+    with pytest.raises(ValueError) as info:
+        load_checkpoint(path)
+    assert str(info.value) == f"{path}: tensor {name!r} holds a NaN or infinite value"
 
 
 def _saved(tmp_path, model, **kwargs):
