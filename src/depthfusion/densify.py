@@ -17,10 +17,13 @@ contiguous arrays, one per color: flat positions 2 j (red) and 2 j + 1
 j + (c + o) // 2 of color (c + o) mod 2, o = dy S + dx, so each of the 8
 factors of the neighbor sum W·f over one color is a contiguous
 half-length slice, times that color's (8, n_c) weights, which are zero on
-the border columns (``_RedBlackAffinity``). An iteration takes three
-half-size products: the red half-sweep uses the red product the previous
-residual computed, f being unchanged in between; the black half-sweep
-takes one black product; the residual takes one of each.
+the border columns (``_RedBlackAffinity``). An iteration takes two
+half-size products: the black half-sweep takes one black product, and
+the red product that follows serves both the residual and the next red
+half-sweep, f being unchanged in between. The residual's black product is
+taken only when the red unknowns' part of the residual, a lower bound on
+the whole, is within the tolerance, or at the last iteration; elsewhere
+the whole is above the tolerance too, so the convergence test would fail.
 
 Same bits. Each pixel's sum adds its 8 products in OFFSETS order starting
 from w_0 f_0, exactly as a sum of zero-filled shifted copies of the image
@@ -68,6 +71,16 @@ class DensifyConfig:
 
 @dataclass
 class DensifyResult:
+    """A densified raster and how its solve ended.
+
+    ``residual`` is the relative residual ||f - W·f|| / ||b|| over the
+    unknown pixels at the returned iteration, b = W·(known values).
+    ``converged`` says that it is within the tolerance, and ``iterations``
+    is the first iteration at which it was, or ``max_iterations`` when
+    none was. An input with no unknown pixel returns converged after 0
+    iterations with residual 0.
+    """
+
     depth: np.ndarray
     converged: bool
     iterations: int
@@ -253,18 +266,27 @@ def densify(sparse: np.ndarray, guide: np.ndarray,
         op.apply(fixed, c, diff[c])  # b = W·(known values), in d for now
     bnorm = max(np.linalg.norm(d[at_unknown]), 1e-300)
     ru = np.empty(at_unknown.size)
+    at_red = at_unknown[at_unknown < op.sizes[0]]
+    ru_red = np.empty(at_red.size)
+    # the red unknowns' part of the residual is at most the whole, up to
+    # the rounding of the two sums, which this relative margin covers
+    screen = config.tolerance * (1.0 + 1e-9)
     # f is unchanged between the red product for the residual and the next
     # red half-sweep, so that one product serves both
     op.apply(f, 0, s[0])
     for it in range(1, config.max_iterations + 1):
         np.copyto(f_inner[0], s[0], where=sweep[0])
         np.copyto(f_inner[1], op.apply(f, 1, s[1]), where=sweep[1])
-        for c in (0, 1):
-            np.subtract(f_inner[c], op.apply(f, c, s[c]), out=diff[c])
-        d *= d
-        np.take(d, at_unknown, out=ru)
+        np.subtract(f_inner[0], op.apply(f, 0, s[0]), out=diff[0])
+        np.multiply(diff[0], diff[0], out=diff[0])
         # an elementwise sum, not np.linalg.norm: that is a BLAS call, and
         # each one wakes a multi-threaded BLAS whose idle threads then spin
+        if (np.sqrt(np.take(diff[0], at_red, out=ru_red).sum()) / bnorm > screen
+                and it < config.max_iterations):
+            continue  # the full residual is above tolerance too
+        np.subtract(f_inner[1], op.apply(f, 1, s[1]), out=diff[1])
+        np.multiply(diff[1], diff[1], out=diff[1])
+        np.take(d, at_unknown, out=ru)
         residual = np.sqrt(ru.sum()) / bnorm
         if residual <= config.tolerance:
             return DensifyResult(op.join(f), True, it, residual)

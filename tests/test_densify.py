@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from depthfusion import data as D
-from depthfusion.densify import (OFFSETS, DensifyConfig, build_weights,
-                                 densify, rgb_to_gray)
+from depthfusion.densify import (OFFSETS, DensifyConfig, _RedBlackAffinity,
+                                 build_weights, densify, rgb_to_gray)
 
 CFG = DensifyConfig()
 # solved tightly so iteration error stays below the 1e-5 comparison bound
@@ -336,3 +336,47 @@ def test_same_bits_as_reference_on_a_day_frame():
     frame = D.generate_sample(replace(D.SceneSpec(), weather="day"), 101)
     assert not assert_same_bits(frame.sparse, frame.rgb,
                                 DensifyConfig(max_iterations=300))
+
+
+def _count_products(monkeypatch):
+    """Patch _RedBlackAffinity.apply to count its calls; returns the count."""
+    calls = [0]
+    apply = _RedBlackAffinity.apply
+
+    def counted(self, *args):
+        calls[0] += 1
+        return apply(self, *args)
+
+    monkeypatch.setattr(_RedBlackAffinity, "apply", counted)
+    return calls
+
+
+def test_two_products_per_iteration_until_the_last(monkeypatch):
+    # b takes two products and the first red sweep one; then each iteration
+    # takes a black and a red one, and the full residual's black product is
+    # taken only at the last, as the red unknowns alone stay above tolerance
+    frame = D.generate_sample(replace(D.SceneSpec(), weather="fog"), 102)
+    calls = _count_products(monkeypatch)
+    n = 100
+    result = densify(frame.sparse, frame.rgb, DensifyConfig(max_iterations=n))
+    assert (result.converged, result.iterations) == (False, n)
+    assert calls[0] == 2 * n + 4
+
+
+def test_same_bits_when_the_red_screen_passes_for_many_iterations(monkeypatch):
+    # every red pixel but a few is known, and a checkerboard guide couples
+    # each black unknown mostly to its black diagonal neighbors: the red part
+    # of the residual falls within tolerance long before the whole does
+    rng = np.random.default_rng(3)
+    h, w = 24, 32
+    yy, xx = np.indices((h, w))
+    red = (yy + xx) % 2 == 0
+    known = red & (rng.uniform(size=(h, w)) >= 0.02)
+    sparse = np.where(known, rng.uniform(1.0, 80.0, (h, w)), 0.0)
+    guide = np.where(red, 0.0, 1.0) + 0.01 * rng.uniform(0, 1, (h, w))
+    assert 0 < np.count_nonzero(red & ~known) < np.count_nonzero(~red) // 20
+    calls = _count_products(monkeypatch)
+    result = densify(sparse, guide, CFG)
+    full_residuals = calls[0] - 2 * result.iterations - 3
+    assert result.converged and 20 <= full_residuals < result.iterations
+    assert assert_same_bits(sparse, guide, CFG)
