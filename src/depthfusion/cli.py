@@ -197,7 +197,10 @@ def cmd_eval(args):
     def samples():  # each checked as it loads, before it is predicted
         for i in evaluable:
             sample = D.load_sample(args.split_dir, i)
-            _check_size(model, D.sample_paths(args.split_dir, i)["rgb"], sample.rgb)
+            paths = D.sample_paths(args.split_dir, i)
+            _check_size(model, paths["rgb"], sample.rgb)
+            if not (sample.gt > 0).any():  # 0 = no measurement
+                raise ValidationError(f"{paths['gt']}: no pixel has a measured depth")
             yield sample
 
     reports = dict(zip(evaluable, M.evaluate(model, samples(), divisor)))

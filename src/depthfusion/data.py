@@ -8,7 +8,6 @@ no measurement / invalid).
 
 from __future__ import annotations
 
-import math
 import numbers
 import os
 from dataclasses import dataclass, field, replace
@@ -21,6 +20,15 @@ from .geometry import (CameraIntrinsics, PointCloud, RigidPose,
 WEATHERS = ("day", "night", "fog", "rain", "cloudy")
 DEPTH_SCALE = 256.0  # stored uint16 = meters * 256
 FOG_BETA = 0.08  # extinction per meter
+D_MIN, D_MAX = 0.5, 80.0  # generated depth range, meters
+CAMERA_HEIGHT = 1.5  # meters above the ground plane (y points down)
+RADAR_NOISE_SIGMA = 0.1  # meters
+RADAR_BAND_FRAC = 0.5  # vertical band (fraction of height) around horizon
+
+# augmentation: each transform's probability and its factor's range
+P_FLIP = P_CONTRAST = P_BRIGHTNESS = 0.5
+CONTRAST_RANGE = (0.9, 1.1)
+BRIGHTNESS_RANGE = (0.75, 1.25)
 
 
 @dataclass
@@ -34,32 +42,13 @@ class Sample:
 
 
 @dataclass
-class AugmentConfig:
-    p_flip: float = 0.5
-    p_contrast: float = 0.5
-    p_brightness: float = 0.5
-    contrast_range: tuple = (0.9, 1.1)
-    brightness_range: tuple = (0.75, 1.25)
-
-    def __post_init__(self):
-        for p in (self.p_flip, self.p_contrast, self.p_brightness):
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"probability {p} outside [0, 1]")
-
-
-@dataclass
 class SceneSpec:
     width: int = 160
     height: int = 96
     n_primitives: int = 8
     weather: str = "day"
     radar_returns: int = 40
-    radar_noise_sigma: float = 0.1
-    radar_band_frac: float = 0.5  # vertical band (fraction of height) around horizon
-    d_min: float = 0.5
-    d_max: float = 80.0
-    camera_height: float = 1.5   # meters above the ground plane (y points down)
-    intrinsics: CameraIntrinsics | None = None
+    intrinsics: CameraIntrinsics = field(init=False)  # pinhole from the size
 
     def __post_init__(self):
         if self.weather not in WEATHERS:
@@ -69,23 +58,10 @@ class SceneSpec:
             if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
                     or value < low):
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-        # each test is False for NaN
-        for name, ok, what in (
-                ("radar_noise_sigma", 0 <= self.radar_noise_sigma < math.inf,
-                 "finite and >= 0"),
-                ("radar_band_frac", 0 < self.radar_band_frac <= 1, "in (0, 1]"),
-                ("d_min", 0 < self.d_min < math.inf, "positive and finite"),
-                ("d_max", self.d_min < self.d_max < math.inf,
-                 f"finite and above d_min={self.d_min!r}"),
-                ("camera_height", 0 < self.camera_height < math.inf,
-                 "positive and finite")):
-            if not ok:
-                raise ValueError(f"{name} must be {what}, got {getattr(self, name)!r}")
-        if self.intrinsics is None:
-            f = 0.9 * self.width
-            self.intrinsics = CameraIntrinsics(
-                fx=f, fy=f, cx=self.width / 2.0, cy=self.height / 2.0,
-                width=self.width, height=self.height)
+        f = 0.9 * self.width
+        self.intrinsics = CameraIntrinsics(
+            fx=f, fy=f, cx=self.width / 2.0, cy=self.height / 2.0,
+            width=self.width, height=self.height)
 
 
 # ---------------------------------------------------------------------------
@@ -103,12 +79,12 @@ def _ray_grid(intr: CameraIntrinsics):
 
 
 def ground_plane_depth(spec: SceneSpec) -> np.ndarray:
-    """Analytic z-depth of the ground plane y = camera_height; sky gets d_max."""
+    """Analytic z-depth of the ground plane y = CAMERA_HEIGHT; sky gets D_MAX."""
     _, dy = _ray_grid(spec.intrinsics)
-    depth = np.full(dy.shape, spec.d_max)
+    depth = np.full(dy.shape, D_MAX)
     below = dy > 1e-9
-    depth[below] = spec.camera_height / dy[below]
-    return np.clip(depth, spec.d_min, spec.d_max)
+    depth[below] = CAMERA_HEIGHT / dy[below]
+    return np.clip(depth, D_MIN, D_MAX)
 
 
 def _intersect_sphere(dx, dy, center, radius):
@@ -198,17 +174,17 @@ def generate_sample(spec: SceneSpec, seed: int) -> Sample:
         size = rng.uniform(0.5, 3.0)
         color = rng.uniform(0.2, 0.95, size=3)
         if rng.uniform() < 0.5:
-            center = np.array([x, spec.camera_height - size, z])
+            center = np.array([x, CAMERA_HEIGHT - size, z])
             t = _intersect_sphere(dx, dy, center, size)
         else:
             half = np.array([size, size, size]) * rng.uniform(0.5, 1.0, size=3)
-            center = np.array([x, spec.camera_height - half[1], z])
+            center = np.array([x, CAMERA_HEIGHT - half[1], z])
             t = _intersect_box(dx, dy, center - half, center + half)
         closer = t < depth
         depth = np.where(closer, t, depth)
         albedo[closer] = color
 
-    depth = np.clip(depth, spec.d_min, spec.d_max)
+    depth = np.clip(depth, D_MIN, D_MAX)
     shade = 1.0 / (1.0 + depth / 15.0)
     rgb = np.clip(albedo * (0.25 + 0.75 * shade[..., None]), 0.0, 1.0)
     rgb = np.clip(_apply_weather(rgb, depth, spec.weather, rng), 0.0, 1.0)
@@ -216,18 +192,18 @@ def generate_sample(spec: SceneSpec, seed: int) -> Sample:
     # simulated radar: noisy depth returns in a horizontal band, rasterized
     # through the same projection path as real point clouds
     n_ret = int(rng.poisson(spec.radar_returns))
-    band = max(1, int(spec.radar_band_frac * intr.height / 2))
+    band = max(1, int(RADAR_BAND_FRAC * intr.height / 2))
     v_lo = max(0, int(intr.cy) - band // 2)
     v_hi = min(intr.height, int(intr.cy) + band)
     pts = []
     for _ in range(n_ret):
         u = int(rng.integers(0, intr.width))
         v = int(rng.integers(v_lo, v_hi))
-        noise = float(np.clip(rng.normal(0.0, spec.radar_noise_sigma),
-                              -3.5 * spec.radar_noise_sigma,
-                              3.5 * spec.radar_noise_sigma))
+        noise = float(np.clip(rng.normal(0.0, RADAR_NOISE_SIGMA),
+                              -3.5 * RADAR_NOISE_SIGMA,
+                              3.5 * RADAR_NOISE_SIGMA))
         d = depth[v, u] + noise
-        d = float(np.clip(d, spec.d_min, spec.d_max))
+        d = float(np.clip(d, D_MIN, D_MAX))
         pts.append([(u - intr.cx) * d / intr.fx, (v - intr.cy) * d / intr.fy, d])
     cloud = PointCloud(np.array(pts).reshape(-1, 3))
     sparse = project_points(cloud, RigidPose.identity(), intr)
@@ -240,7 +216,7 @@ def generate_sample(spec: SceneSpec, seed: int) -> Sample:
 # augmentation
 
 
-def augment(sample: Sample, cfg: AugmentConfig, rng: np.random.Generator) -> Sample:
+def augment(sample: Sample, rng: np.random.Generator) -> Sample:
     """Online augmentation; draws consume rng in a fixed order.
 
     Order: flip decision, contrast decision, contrast factor, brightness
@@ -249,17 +225,17 @@ def augment(sample: Sample, cfg: AugmentConfig, rng: np.random.Generator) -> Sam
     together; contrast (around the image mean) and brightness touch rgb only.
     """
     rgb, sparse, gt = sample.rgb, sample.sparse, sample.gt
-    if rng.uniform() < cfg.p_flip:
+    if rng.uniform() < P_FLIP:
         rgb = rgb[:, ::-1].copy()
         sparse = sparse[:, ::-1].copy()
         gt = gt[:, ::-1].copy()
-    do_contrast = rng.uniform() < cfg.p_contrast
-    f = rng.uniform(*cfg.contrast_range)
+    do_contrast = rng.uniform() < P_CONTRAST
+    f = rng.uniform(*CONTRAST_RANGE)
     if do_contrast:
         mean = rgb.mean()
         rgb = np.clip(mean + (rgb - mean) * f, 0.0, 1.0)
-    do_brightness = rng.uniform() < cfg.p_brightness
-    b = rng.uniform(*cfg.brightness_range)
+    do_brightness = rng.uniform() < P_BRIGHTNESS
+    b = rng.uniform(*BRIGHTNESS_RANGE)
     if do_brightness:
         rgb = np.clip(rgb * b, 0.0, 1.0)
     return replace(sample, rgb=rgb, sparse=sparse, gt=gt)

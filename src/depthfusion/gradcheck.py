@@ -8,12 +8,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import losses as L
+from . import tensor as T
 from .tensor import Tensor, backward
 
-DEFAULT_STEP = 1e-5
+STEP = 1e-5
 
 
-def numeric_gradient(fn, tensors, index, step=DEFAULT_STEP):
+def numeric_gradient(fn, tensors, index):
     """Central-difference gradient of scalar fn w.r.t. tensors[index]."""
     t = tensors[index]
     base = t.data.copy()
@@ -22,19 +24,19 @@ def numeric_gradient(fn, tensors, index, step=DEFAULT_STEP):
     gflat = g.reshape(-1)
     for i in range(flat.size):
         orig = flat[i]
-        flat[i] = orig + step
+        flat[i] = orig + STEP
         t.data = flat.reshape(base.shape)
         hi = float(fn(*tensors).data.reshape(-1)[0])
-        flat[i] = orig - step
+        flat[i] = orig - STEP
         t.data = flat.reshape(base.shape)
         lo = float(fn(*tensors).data.reshape(-1)[0])
         flat[i] = orig
-        gflat[i] = (hi - lo) / (2.0 * step)
+        gflat[i] = (hi - lo) / (2.0 * STEP)
     t.data = base
     return g
 
 
-def max_relative_error(fn, tensors, step=DEFAULT_STEP):
+def max_relative_error(fn, tensors):
     """Worst elementwise relative error between analytic and numeric gradients.
 
     The error is |ga - gn| / (|ga| + |gn| + 1e-6), which is ~1 for a wrong
@@ -51,14 +53,14 @@ def max_relative_error(fn, tensors, step=DEFAULT_STEP):
         if not t.requires_grad:
             continue
         ga = np.zeros_like(t.data) if t.grad is None else t.grad
-        gn = numeric_gradient(fn, tensors, i, step)
+        gn = numeric_gradient(fn, tensors, i)
         err = np.abs(ga - gn) / (np.abs(ga) + np.abs(gn) + 1e-6)
         worst = max(worst, float(err.max()))
     return worst
 
 
-def check(fn, tensors, tol=1e-4, step=DEFAULT_STEP):
-    err = max_relative_error(fn, tensors, step)
+def check(fn, tensors, tol=1e-4):
+    err = max_relative_error(fn, tensors)
     return err <= tol, err
 
 
@@ -67,13 +69,11 @@ def check(fn, tensors, tol=1e-4, step=DEFAULT_STEP):
 
 
 def _rand(rng, shape, lo=-1.0, hi=1.0):
-    from .tensor import Tensor
     return Tensor(rng.uniform(lo, hi, size=shape), requires_grad=True,
                   dtype=np.float64)
 
 
 def _rand_away_from_zero(rng, shape, margin=0.1):
-    from .tensor import Tensor
     mag = rng.uniform(margin, 1.0, size=shape)
     sign = np.where(rng.uniform(size=shape) < 0.5, -1.0, 1.0)
     return Tensor(mag * sign, requires_grad=True, dtype=np.float64)
@@ -83,7 +83,6 @@ def _conv_away_from_kink(rng, stride, margin=0.01):
     """(x, kernel, bias) whose padded conv at ``stride`` has no output
     within ``margin`` of 0, the kink of a fused leaky ReLU, so central
     differences stay on one branch; drawn again until they do."""
-    from . import tensor as T
     while True:
         case = [_rand(rng, (2, 2, 4, 4)), _rand(rng, (3, 2, 3, 3)), _rand(rng, (3,))]
         with T.no_grad():
@@ -94,8 +93,6 @@ def _conv_away_from_kink(rng, stride, margin=0.01):
 
 def _suite_cases(rng):
     """(name, fn, tensors) triples; every fn maps its tensors to a scalar."""
-    from . import tensor as T
-    from . import losses as L
 
     x = _rand(rng, (2, 2, 4, 4))
     k = _rand(rng, (3, 2, 3, 3))
@@ -113,7 +110,6 @@ def _suite_cases(rng):
     sx = float(np.sign(rng.uniform(-1, 1)))
     ramp = (sy * np.cumsum(rng.uniform(0.02, 0.1, size=8))[:, None]
             + sx * np.cumsum(rng.uniform(0.02, 0.1, size=8))[None, :])
-    from .tensor import Tensor
     p_edge = Tensor(g8.data + ramp.reshape(1, 1, 8, 8), requires_grad=True,
                     dtype=np.float64)
     fused_s1 = _conv_away_from_kink(rng, 1)

@@ -18,6 +18,9 @@ from . import tensor as T
 from .tensor import Tensor
 
 
+SSIM_C1, SSIM_C2 = 0.01 ** 2, 0.03 ** 2  # stabilizers, for values in [0, 1]
+
+
 class PixelLossKind(Enum):
     L1 = "l1"
     L2 = "l2"
@@ -65,15 +68,7 @@ class ReciprocalCodec:
         return np.clip(d, self.d_min, self.d_max)
 
 
-def _uniform_window_mean(x: Tensor, window: int) -> Tensor:
-    n, c, h, w = x.shape
-    if c != 1:
-        raise T.ShapeError(f"ssim expects single-channel maps, got {x.shape}")
-    return T.window_mean(x, window)
-
-
-def ssim(a: Tensor, b: Tensor, window: int = 7,
-         c1: float = 0.01 ** 2, c2: float = 0.03 ** 2) -> Tensor:
+def ssim(a: Tensor, b: Tensor, window: int = 7) -> Tensor:
     """Mean SSIM index over all valid windows, local stats by uniform window."""
     if a.shape != b.shape:
         raise T.ShapeError(f"ssim: shape mismatch {a.shape} vs {b.shape}")
@@ -82,13 +77,15 @@ def ssim(a: Tensor, b: Tensor, window: int = 7,
     if a.shape[2] < window or a.shape[3] < window:
         raise T.ShapeError(
             f"ssim: window {window} larger than image {a.shape[2:]}")
-    mu_a = _uniform_window_mean(a, window)
-    mu_b = _uniform_window_mean(b, window)
-    var_a = _uniform_window_mean(a * a, window) - mu_a * mu_a
-    var_b = _uniform_window_mean(b * b, window) - mu_b * mu_b
-    cov = _uniform_window_mean(a * b, window) - mu_a * mu_b
-    num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
-    den = (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
+    if a.shape[1] != 1:
+        raise T.ShapeError(f"ssim expects single-channel maps, got {a.shape}")
+    mu_a = T.window_mean(a, window)
+    mu_b = T.window_mean(b, window)
+    var_a = T.window_mean(a * a, window) - mu_a * mu_a
+    var_b = T.window_mean(b * b, window) - mu_b * mu_b
+    cov = T.window_mean(a * b, window) - mu_a * mu_b
+    num = (2.0 * mu_a * mu_b + SSIM_C1) * (2.0 * cov + SSIM_C2)
+    den = (mu_a * mu_a + mu_b * mu_b + SSIM_C1) * (var_a + var_b + SSIM_C2)
     return T.mean_all(num / den)
 
 

@@ -75,7 +75,8 @@ def compute_metrics(pred: np.ndarray, gt: np.ndarray,
 def evaluate(model, samples,
              divisor: Divisor = Divisor.GROUNDTRUTH) -> list[MetricsReport]:
     """One report per sample: the model's depth against the groundtruth
-    clipped to the model's [d_min, d_max].
+    clipped to the model's [d_min, d_max], over the pixels whose stored
+    groundtruth is positive (0 means no measurement).
 
     ``samples`` is consumed lazily, so a generator that loads each frame
     has it predicted and scored before the next one loads. Freed memory
@@ -85,7 +86,8 @@ def evaluate(model, samples,
     keep_freed_memory()
     cfg = model.config
     return [compute_metrics(model.predict_depth(s.rgb, s.sparse),
-                            np.clip(s.gt, cfg.d_min, cfg.d_max), divisor=divisor)
+                            np.clip(s.gt, cfg.d_min, cfg.d_max), mask=s.gt > 0,
+                            divisor=divisor)
             for s in samples]
 
 

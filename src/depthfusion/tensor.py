@@ -91,8 +91,6 @@ class Tensor:
     def __add__(self, other):
         return add(self, _wrap(other, self.dtype))
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         return sub(self, _wrap(other, self.dtype))
 
@@ -106,24 +104,6 @@ class Tensor:
 
     def __truediv__(self, other):
         return div(self, _wrap(other, self.dtype))
-
-    def __rtruediv__(self, other):
-        return div(_wrap(other, self.dtype), self)
-
-    def __neg__(self):
-        return mul(self, _wrap(-1.0, self.dtype))
-
-    def sum(self):
-        return sum_all(self)
-
-    def mean(self):
-        return mean_all(self)
-
-    def abs(self):
-        return abs_(self)
-
-    def backward(self):
-        return backward(self)
 
 
 def _wrap(value, dtype):

@@ -37,15 +37,15 @@ from .model import (FusionMode, Model, ModelConfig, build_model,
 from .tensor import Tensor
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
+
+
 class TrainingAborted(RuntimeError):
     """NaN gradients or loss; the last good checkpoint is retained."""
 
 
 @dataclass
 class OptimState:
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     lr: float = 1e-4
     t: int = 0
     m: dict = field(default_factory=dict)
@@ -94,7 +94,7 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
         if not np.all(np.isfinite(g)):
             raise TrainingAborted(f"non-finite gradient for weight {name!r}")
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1 ** state.t
     bc2 = 1.0 - b2 ** state.t
     for name, p in params.items():
@@ -118,7 +118,7 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
         v += s
         np.divide(v, bc2, out=s)
         np.sqrt(s, out=s)
-        s += state.epsilon
+        s += ADAM_EPSILON
         step = m / bc1
         step *= state.lr
         step /= s
@@ -239,12 +239,13 @@ def _moments_as_tensors(state: OptimState):
     return named
 
 
-def _restore_moments(model: Model, moments: dict, state: OptimState):
+def _restore_moments(moments: dict, state: OptimState):
+    """Moves the float32 moments ``load_checkpoint`` read into ``state``."""
     for name, arr in moments.items():
         if name.startswith("adam.m."):
-            state.m[name[len("adam.m."):]] = arr.astype(np.float32)
+            state.m[name[len("adam.m."):]] = arr
         elif name.startswith("adam.v."):
-            state.v[name[len("adam.v."):]] = arr.astype(np.float32)
+            state.v[name[len("adam.v."):]] = arr
 
 
 def _resume_state(path, extra):
@@ -302,7 +303,7 @@ def train(train_cfg: TrainConfig, model_cfg: ModelConfig, train_dir,
         start_epoch = epoch + 1
         if epoch:  # last.ckpt's lr, should the epoch loop below not run
             state.lr = lr_schedule(epoch, train_cfg)
-        _restore_moments(model, moments, state)
+        _restore_moments(moments, state)
     else:
         model = build_model(model_cfg)
     os.makedirs(out_dir, exist_ok=True)
@@ -320,8 +321,7 @@ def train(train_cfg: TrainConfig, model_cfg: ModelConfig, train_dir,
                 if train_cfg.augment:
                     rng = np.random.default_rng(
                         [train_cfg.augment_seed, epoch, b_idx])
-                    samples = [D.augment(s, D.AugmentConfig(), rng)
-                               for s in samples]
+                    samples = [D.augment(s, rng) for s in samples]
                 # on TrainingAborted the previous epoch checkpoint remains
                 # on disk as the last good state
                 losses.append(train_step(model, samples, train_cfg, state))

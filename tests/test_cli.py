@@ -225,6 +225,11 @@ def test_malformed_inputs_exit_one(workspace, capsys):
         for path in D.sample_paths(data, "000001").values():
             shutil.copy(path, split)
         D.save_depth_pgm(np.full((16, 32), 5.0), split / f"000001_{key}.pgm")
+    split = bad / "split_gt_unmeasured"
+    split.mkdir()
+    for path in D.sample_paths(data, "000001").values():
+        shutil.copy(path, split)
+    D.save_depth_pgm(np.zeros((32, 32)), split / "000001_gt.pgm")
     out = str(bad / "never.pgm")
 
     def gen(mix):
@@ -291,6 +296,8 @@ def test_malformed_inputs_exit_one(workspace, capsys):
          + ": size 32x16 differs from the RGB image's 32x32"),
         (evaluate("gt_size"), str(bad / "split_gt_size" / "000001_gt.pgm")
          + ": size 32x16 differs from the RGB image's 32x32"),
+        (evaluate("gt_unmeasured"), str(bad / "split_gt_unmeasured" / "000001_gt.pgm")
+         + ": no pixel has a measured depth"),
     ]
     for argv, message in cases:
         assert main([str(a) for a in argv]) == 1

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -112,7 +114,7 @@ def test_generator_determinism():
 def test_zero_primitive_scene_matches_plane_oracle():
     spec = D.SceneSpec(width=32, height=32, n_primitives=0)
     s = D.generate_sample(spec, seed=0)
-    oracle = np.clip(D.ground_plane_depth(spec), spec.d_min, spec.d_max)
+    oracle = np.clip(D.ground_plane_depth(spec), D.D_MIN, D.D_MAX)
     np.testing.assert_allclose(s.gt, oracle, atol=1e-12)
 
 
@@ -122,11 +124,11 @@ def test_radar_noise_bounded_and_in_band():
         s = D.generate_sample(spec, seed=seed)
         vs, us = np.nonzero(s.sparse)
         assert len(vs) > 0
-        clipped_gt = np.clip(s.gt, spec.d_min, spec.d_max)
+        clipped_gt = np.clip(s.gt, D.D_MIN, D.D_MAX)
         err = np.abs(s.sparse[vs, us] - clipped_gt[vs, us])
         # returns carry Gaussian range noise, clipped, plus fixed-point
         # quantization; clamping at d_min/d_max can only shrink the error
-        assert err.max() <= 4.0 * spec.radar_noise_sigma + 0.5 / 256.0
+        assert err.max() <= 4.0 * D.RADAR_NOISE_SIGMA + 0.5 / 256.0
 
 
 def test_weather_affects_rgb_not_depth():
@@ -142,6 +144,11 @@ def test_unknown_weather_rejected():
         D.SceneSpec(weather="hail")
 
 
+# scene constants that were once SceneSpec fields: no value can be passed
+SCENE_CONSTANTS = ("radar_noise_sigma", "radar_band_frac", "d_min", "d_max",
+                   "camera_height", "intrinsics")
+
+
 @pytest.mark.parametrize("field, value", [
     ("radar_returns", -1), ("radar_returns", 2.5), ("radar_returns", True),
     ("width", 0), ("height", -4), ("width", 16.0),
@@ -153,52 +160,100 @@ def test_unknown_weather_rejected():
     ("d_max", float("inf")), ("camera_height", 0.0), ("camera_height", -1.5),
     ("camera_height", float("nan"))])
 def test_scene_spec_refuses_bad_fields(field, value):
-    with pytest.raises(ValueError, match=field):
+    error = TypeError if field in SCENE_CONSTANTS else ValueError
+    with pytest.raises(error, match=field):
         D.SceneSpec(**{field: value})
 
 
 def test_scene_spec_accepts_the_edges():
-    D.SceneSpec(width=1, height=1, radar_returns=0, radar_noise_sigma=0.0,
-                radar_band_frac=1.0, d_min=1e-3, d_max=1e3, camera_height=1e-3)
+    D.SceneSpec(width=1, height=1, radar_returns=0)
+
+
+def test_scene_spec_intrinsics_follow_the_size():
+    with pytest.raises(TypeError, match="intrinsics"):
+        D.SceneSpec(intrinsics=D.SceneSpec().intrinsics)
+    intr = D.SceneSpec(width=64, height=32).intrinsics
+    assert (intr.fx, intr.fy, intr.cx, intr.cy) == (57.6, 57.6, 32.0, 16.0)
+    assert (intr.width, intr.height) == (64, 32)
+    assert replace(D.SceneSpec(), width=64, height=32).intrinsics == intr
+
+
+def replay_augment(seed):
+    """(flip, contrast, f, brightness, b): the decisions and factors that
+    ``augment`` draws from ``default_rng(seed)``, in its documented order."""
+    twin = np.random.default_rng(seed)
+    flip = twin.uniform() < D.P_FLIP
+    contrast = twin.uniform() < D.P_CONTRAST
+    f = twin.uniform(*D.CONTRAST_RANGE)
+    brightness = twin.uniform() < D.P_BRIGHTNESS
+    b = twin.uniform(*D.BRIGHTNESS_RANGE)
+    return flip, contrast, f, brightness, b
+
+
+def seed_where(flip, contrast, brightness):
+    """The first seed whose replayed decisions are the given ones."""
+    for seed in range(1000):
+        f, c, _, b, _ = replay_augment(seed)
+        if (f, c, b) == (flip, contrast, brightness):
+            return seed
 
 
 def test_augment_flip_is_involution_and_aligned():
     s = D.generate_sample(D.SceneSpec(width=32, height=32), seed=1)
-    cfg = D.AugmentConfig(p_flip=1.0, p_contrast=0.0, p_brightness=0.0)
-    once = D.augment(s, cfg, np.random.default_rng(0))
-    twice = D.augment(once, cfg, np.random.default_rng(0))
+    seed = seed_where(True, False, False)
+    once = D.augment(s, np.random.default_rng(seed))
+    twice = D.augment(once, np.random.default_rng(seed))
     np.testing.assert_array_equal(twice.rgb, s.rgb)
     np.testing.assert_array_equal(twice.sparse, s.sparse)
     np.testing.assert_array_equal(twice.gt, s.gt)
+    np.testing.assert_array_equal(once.rgb, s.rgb[:, ::-1])
+    np.testing.assert_array_equal(once.sparse, s.sparse[:, ::-1])
     np.testing.assert_array_equal(once.gt, s.gt[:, ::-1])
 
 
 def test_augment_identity_when_disabled():
     s = D.generate_sample(D.SceneSpec(width=32, height=32), seed=2)
-    cfg = D.AugmentConfig(p_flip=0.0, p_contrast=0.0, p_brightness=0.0)
-    out = D.augment(s, cfg, np.random.default_rng(0))
+    out = D.augment(s, np.random.default_rng(seed_where(False, False, False)))
     np.testing.assert_array_equal(out.rgb, s.rgb)
+    np.testing.assert_array_equal(out.sparse, s.sparse)
     np.testing.assert_array_equal(out.gt, s.gt)
 
 
 def test_augment_contrast_formula():
     rgb = np.array([[[0.2] * 3, [0.6] * 3]])  # mean 0.4
     s = D.Sample(rgb=rgb, sparse=np.zeros((1, 2)), gt=np.ones((1, 2)))
-    cfg = D.AugmentConfig(p_flip=0.0, p_contrast=1.0, p_brightness=0.0,
-                          contrast_range=(1.1, 1.1))
-    out = D.augment(s, cfg, np.random.default_rng(0))
-    np.testing.assert_allclose(out.rgb[0, 0], 0.4 + (0.2 - 0.4) * 1.1,
-                               atol=1e-12)
-    np.testing.assert_allclose(out.rgb[0, 1], 0.4 + (0.6 - 0.4) * 1.1,
-                               atol=1e-12)
+    seed = seed_where(False, True, False)
+    f = replay_augment(seed)[2]
+    assert D.CONTRAST_RANGE[0] <= f < D.CONTRAST_RANGE[1] and f != 1.0
+    out = D.augment(s, np.random.default_rng(seed))
+    np.testing.assert_allclose(out.rgb[0, 0], 0.4 + (0.2 - 0.4) * f, atol=1e-12)
+    np.testing.assert_allclose(out.rgb[0, 1], 0.4 + (0.6 - 0.4) * f, atol=1e-12)
+
+
+def test_augment_brightness_formula():
+    s = D.generate_sample(D.SceneSpec(width=32, height=32), seed=4)
+    seed = seed_where(False, False, True)
+    b = replay_augment(seed)[4]
+    assert D.BRIGHTNESS_RANGE[0] <= b < D.BRIGHTNESS_RANGE[1] and b != 1.0
+    out = D.augment(s, np.random.default_rng(seed))
+    np.testing.assert_array_equal(out.rgb, np.clip(s.rgb * b, 0.0, 1.0))
+    np.testing.assert_array_equal(out.sparse, s.sparse)
+    np.testing.assert_array_equal(out.gt, s.gt)
 
 
 def test_augment_determinism_per_rng_seed():
     s = D.generate_sample(D.SceneSpec(width=32, height=32), seed=3)
-    cfg = D.AugmentConfig()
-    a = D.augment(s, cfg, np.random.default_rng([1, 2]))
-    b = D.augment(s, cfg, np.random.default_rng([1, 2]))
-    np.testing.assert_array_equal(a.rgb, b.rgb)
+    seed = seed_where(True, True, True)
+    _, _, f, _, b = replay_augment(seed)
+    a = D.augment(s, np.random.default_rng(seed))
+    again = D.augment(s, np.random.default_rng(seed))
+    for name in ("rgb", "sparse", "gt"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(again, name))
+    flipped = s.rgb[:, ::-1]
+    mean = flipped.mean()
+    contrasted = np.clip(mean + (flipped - mean) * f, 0.0, 1.0)
+    np.testing.assert_array_equal(a.rgb, np.clip(contrasted * b, 0.0, 1.0))
+    np.testing.assert_array_equal(a.gt, s.gt[:, ::-1])
 
 
 def test_generate_dataset_and_listing(tmp_path):

@@ -2,12 +2,10 @@ import numpy as np
 import pytest
 
 from depthfusion import tensor as T
-from depthfusion.losses import (LossWeights, PixelLossKind, ReciprocalCodec,
-                                _uniform_window_mean, berhu, loss_edge,
-                                loss_pixel, loss_ssim, loss_total, ssim)
+from depthfusion.losses import (SSIM_C1, LossWeights, PixelLossKind,
+                                ReciprocalCodec, berhu, loss_edge, loss_pixel,
+                                loss_ssim, loss_total, ssim)
 from depthfusion.tensor import Tensor
-
-C1 = 0.01 ** 2
 
 
 def tmap(data):
@@ -24,7 +22,7 @@ def test_ssim_constant_pair_closed_form():
     a = tmap(np.zeros((1, 1, 8, 8)))
     b = tmap(np.ones((1, 1, 8, 8)))
     # zero variance/covariance: index collapses to c1 / (0 + 1 + c1)
-    expected = C1 / (1.0 + C1)
+    expected = SSIM_C1 / (1.0 + SSIM_C1)
     assert abs(ssim(a, b).item() - expected) < 1e-12
     assert abs(loss_ssim(a, b).item() - (1.0 - expected) / 2.0) < 1e-12
     assert abs(loss_ssim(a, b).item() - 0.49995) < 1e-7
@@ -34,7 +32,7 @@ def test_ssim_constant_pair_closed_form():
 def test_window_mean_and_adjoint_match_conv(window):
     rng = np.random.default_rng(window)
     x = tmap(rng.uniform(0, 1, size=(2, 1, 12, 15)))
-    box = _uniform_window_mean(x, window)
+    box = T.window_mean(x, window)
     kernel = Tensor(np.full((1, 1, window, window), 1.0 / window ** 2))
     x_conv = tmap(x.data)
     conv = T.conv2d(x_conv, kernel, Tensor(np.zeros(1)), stride=1, padding=0)
@@ -51,6 +49,19 @@ def test_ssim_rejects_bad_window():
         ssim(a, a, window=4)
     with pytest.raises(T.ShapeError):
         ssim(a, a, window=9)
+
+
+@pytest.mark.parametrize("name", ["c1", "c2"])
+def test_ssim_stabilizers_cannot_be_set(name):
+    a = tmap(np.zeros((1, 1, 8, 8)))
+    with pytest.raises(TypeError, match=name):
+        ssim(a, a, **{name: 0.0})
+
+
+def test_ssim_rejects_multichannel_maps():
+    rgb = tmap(np.zeros((1, 3, 8, 8)))
+    with pytest.raises(T.ShapeError, match="single-channel"):
+        ssim(rgb, rgb)
 
 
 def test_berhu_branch_values():

@@ -1,11 +1,12 @@
 import csv
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from depthfusion.metrics import (Divisor, compute_metrics, mean_report,
-                                 reference_metrics, write_reports)
+from depthfusion.metrics import (Divisor, compute_metrics, evaluate,
+                                 mean_report, reference_metrics, write_reports)
 
 
 def test_hand_example_both_divisors():
@@ -102,3 +103,18 @@ def test_write_reports_round_trip(tmp_path):
         rows = list(csv.DictReader(f))
     assert rows[0]["sample_id"] == "a"
     assert float(rows[0]["ard"]) == 0.375
+
+
+def test_evaluate_skips_pixels_without_groundtruth():
+    # a stored ground truth of 0 means "no measurement": it is not scored,
+    # where clipping it first would score it as a depth of d_min
+    model = SimpleNamespace(
+        config=SimpleNamespace(d_min=0.5, d_max=80.0),
+        predict_depth=lambda rgb, sparse: np.full(rgb.shape[:2], 10.0))
+    gt = np.random.default_rng(0).uniform(1.0, 90.0, size=(16, 32))
+    gt[:8] = 0.0
+    sample = SimpleNamespace(rgb=np.zeros((16, 32, 3)), sparse=None, gt=gt)
+    (report,) = evaluate(model, [sample])
+    want = compute_metrics(np.full((8, 32), 10.0), np.clip(gt[8:], 0.5, 80.0))
+    assert report == want
+    assert report.n_pixels == 256

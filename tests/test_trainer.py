@@ -190,6 +190,12 @@ def test_adam_steps_are_byte_identical_to_the_textbook_form():
         assert not np.array_equal(params[n].data, w0[n])
 
 
+@pytest.mark.parametrize("name", ["beta1", "beta2", "epsilon"])
+def test_adam_constants_cannot_be_set(name):
+    with pytest.raises(TypeError, match=name):
+        OptimState(**{name: 0.5})
+
+
 needs_blas_control = pytest.mark.skipif(
     blas.threads() is None,
     reason="no OpenBLAS thread-count control found in this process")
