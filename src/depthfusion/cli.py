@@ -145,19 +145,10 @@ def cmd_train(args):
     return 0
 
 
-def _check_size(model, path, image):
-    """A ValidationError naming ``path`` when ``image`` differs in size from
-    the model's configured input."""
-    (h, w), cfg = image.shape[:2], model.config
-    if (h, w) != (cfg.input_height, cfg.input_width):
-        raise ValidationError(f"{path}: size {w}x{h} differs from the checkpoint's "
-                              f"configured {cfg.input_width}x{cfg.input_height}")
-
-
 def cmd_predict(args):
     model = load_checkpoint(args.checkpoint)[0]  # the Adam moments are freed at once
     rgb = D.load_ppm(args.rgb)
-    _check_size(model, args.rgb, rgb)
+    M.check_size(model, args.rgb, rgb)
     sparse = D.load_depth_pgm(args.sparse) if args.sparse else None
     mode = model.config.fusion_mode
     if mode is FusionMode.RGB_ONLY and sparse is not None:
@@ -168,7 +159,7 @@ def cmd_predict(args):
         raise ValidationError(
             f"checkpoint fusion mode {mode.value!r} requires --sparse")
     if sparse is not None:
-        _check_size(model, args.sparse, sparse)
+        M.check_size(model, args.sparse, sparse)
     depth = model.predict_depth(rgb, sparse)
     D.save_depth_pgm(depth, args.out)
     if args.vis:
@@ -182,28 +173,13 @@ def cmd_eval(args):
     model = load_checkpoint(args.checkpoint)[0]  # the Adam moments are freed at once
     divisor = (M.Divisor.GROUNDTRUTH if args.ard_divisor == "gt"
                else M.Divisor.PREDICTION)
-    ids = D.list_sample_ids(args.split_dir)
-    if not ids:
+    ids, missing, frames = M.split_frames(model, args.split_dir)
+    if not ids + missing:
         raise ValidationError(f"split directory {args.split_dir} is empty")
-    evaluable = []
-    for sample_id in ids:
-        if os.path.exists(D.sample_paths(args.split_dir, sample_id)["gt"]):
-            evaluable.append(sample_id)
-        else:
-            sys.stderr.write(json.dumps(
-                {"warning": f"sample {sample_id} has no groundtruth; skipped"})
-                + "\n")
-
-    def samples():  # each checked as it loads, before it is predicted
-        for i in evaluable:
-            sample = D.load_sample(args.split_dir, i)
-            paths = D.sample_paths(args.split_dir, i)
-            _check_size(model, paths["rgb"], sample.rgb)
-            if not (sample.gt > 0).any():  # 0 = no measurement
-                raise ValidationError(f"{paths['gt']}: no pixel has a measured depth")
-            yield sample
-
-    reports = dict(zip(evaluable, M.evaluate(model, samples(), divisor)))
+    for sample_id in missing:
+        sys.stderr.write(json.dumps(
+            {"warning": f"sample {sample_id} has no groundtruth; skipped"}) + "\n")
+    reports = dict(zip(ids, M.evaluate(model, frames, divisor)))
     if not reports:
         raise ValidationError("no evaluable samples in split")
     agg = M.mean_report(list(reports.values()))
@@ -211,7 +187,7 @@ def cmd_eval(args):
     M.write_reports(reports, os.path.join(args.out, "per_sample.jsonl"),
                     os.path.join(args.out, "summary.csv"))
     summary = agg.as_dict()
-    summary["skipped_samples"] = len(ids) - len(evaluable)
+    summary["skipped_samples"] = len(missing)
     with open(os.path.join(args.out, "aggregate.json"), "w",
               encoding="utf-8") as f:
         json.dump(summary, f, indent=2, sort_keys=True)

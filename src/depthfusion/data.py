@@ -24,6 +24,7 @@ D_MIN, D_MAX = 0.5, 80.0  # generated depth range, meters
 CAMERA_HEIGHT = 1.5  # meters above the ground plane (y points down)
 RADAR_NOISE_SIGMA = 0.1  # meters
 RADAR_BAND_FRAC = 0.5  # vertical band (fraction of height) around horizon
+N_PRIMITIVES = 8  # spheres and boxes per scene
 
 # augmentation: each transform's probability and its factor's range
 P_FLIP = P_CONTRAST = P_BRIGHTNESS = 0.5
@@ -45,7 +46,6 @@ class Sample:
 class SceneSpec:
     width: int = 160
     height: int = 96
-    n_primitives: int = 8
     weather: str = "day"
     radar_returns: int = 40
     intrinsics: CameraIntrinsics = field(init=False)  # pinhole from the size
@@ -168,7 +168,7 @@ def generate_sample(spec: SceneSpec, seed: int) -> Sample:
     sky = dy <= 1e-9
     albedo[sky] = (0.65, 0.75, 0.9)
 
-    for _ in range(spec.n_primitives):
+    for _ in range(N_PRIMITIVES):
         z = rng.uniform(2.0, 60.0)
         x = rng.uniform(-0.55, 0.55) * z  # keep mostly in the frustum
         size = rng.uniform(0.5, 3.0)
@@ -367,9 +367,8 @@ def load_sample(directory, sample_id) -> Sample:
 
 
 def list_sample_ids(directory):
-    ids = sorted(f[:-len("_meta.txt")] for f in os.listdir(directory)
-                 if f.endswith("_meta.txt"))
-    return ids
+    return sorted(f[:-len("_meta.txt")] for f in os.listdir(directory)
+                  if f.endswith("_meta.txt"))
 
 
 def generate_dataset(out_dir, count, weather_mix, seed,

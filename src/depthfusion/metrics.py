@@ -9,11 +9,13 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 from dataclasses import dataclass, asdict
 from enum import Enum
 
 import numpy as np
 
+from . import data as D
 from .malloc import keep_freed_memory
 
 THRESHOLDS = (1.25, 1.25 ** 2, 1.25 ** 3)
@@ -91,6 +93,38 @@ def evaluate(model, samples,
             for s in samples]
 
 
+def check_size(model, path, image):
+    """A ValueError naming ``path`` if ``image`` is not the model's input size."""
+    (h, w), cfg = image.shape[:2], model.config
+    if (h, w) != (cfg.input_height, cfg.input_width):
+        raise ValueError(f"{path}: size {w}x{h} differs from the checkpoint's "
+                         f"configured {cfg.input_width}x{cfg.input_height}")
+
+
+def split_frames(model, directory, dense=False):
+    """(ids, missing, frames): ``directory``'s sample ids with and without a
+    ground-truth file, and the former's frames, each loaded once the one
+    before is consumed; a frame is refused, naming its file, if its size is
+    not the model's or no ground-truth pixel (with ``dense``, not every
+    one) is measured."""
+    ids = D.list_sample_ids(directory)
+    missing = [i for i in ids if not os.path.exists(D.sample_paths(directory, i)["gt"])]
+    ids = [i for i in ids if i not in missing]
+
+    def frames():
+        for i in ids:
+            sample, paths = D.load_sample(directory, i), D.sample_paths(directory, i)
+            check_size(model, paths["rgb"], sample.rgb)
+            unmeasured = np.count_nonzero(sample.gt <= 0)
+            if dense and unmeasured:
+                raise ValueError(f"{paths['gt']}: {unmeasured} of {sample.gt.size} pixels "
+                                 "have no measured depth; a training frame needs all")
+            if unmeasured == sample.gt.size:
+                raise ValueError(f"{paths['gt']}: no pixel has a measured depth")
+            yield sample
+    return ids, missing, frames()
+
+
 def reference_metrics(pred, gt, mask=None,
                       divisor: Divisor = Divisor.GROUNDTRUTH) -> MetricsReport:
     """Scalar-loop reference implementation, kept independent of compute_metrics."""
@@ -132,14 +166,10 @@ def mean_report(reports: list[MetricsReport]) -> MetricsReport:
     """Per-image average of metric reports (each image weighted equally)."""
     if not reports:
         raise ValueError("no reports to aggregate")
+    means = {k: float(np.mean([getattr(r, k) for r in reports]))
+             for k in ("rmse", "ard", "srd", "delta1", "delta2", "delta3")}
     return MetricsReport(
-        rmse=float(np.mean([r.rmse for r in reports])),
-        ard=float(np.mean([r.ard for r in reports])),
-        srd=float(np.mean([r.srd for r in reports])),
-        delta1=float(np.mean([r.delta1 for r in reports])),
-        delta2=float(np.mean([r.delta2 for r in reports])),
-        delta3=float(np.mean([r.delta3 for r in reports])),
-        n_pixels=int(sum(r.n_pixels for r in reports)),
+        **means, n_pixels=int(sum(r.n_pixels for r in reports)),
         divisor_convention=reports[0].divisor_convention)
 
 

@@ -224,28 +224,29 @@ def train_step(model: Model, samples, cfg: TrainConfig, state: OptimState) -> fl
     return sum(values) / b
 
 
+def _frames(model: Model, directory, dense=False):
+    """``metrics.split_frames``' frames; a missing ``_gt.pgm`` is refused."""
+    _, missing, frames = M.split_frames(model, directory, dense)
+    if missing:
+        raise ValueError(f"{D.sample_paths(directory, missing[0])['gt']}: does not exist")
+    return frames
+
+
 def validate(model: Model, val_dir) -> M.MetricsReport:
-    """Mean metrics over every sample of ``val_dir``."""
-    samples = (D.load_sample(val_dir, i) for i in D.list_sample_ids(val_dir))
-    return M.mean_report(M.evaluate(model, samples))
+    """Mean metrics over every sample of ``val_dir``, checked (``_frames``)."""
+    return M.mean_report(M.evaluate(model, _frames(model, val_dir)))
 
 
 def _moments_as_tensors(state: OptimState):
-    named = {}
-    for name, arr in state.m.items():
-        named[f"adam.m.{name}"] = arr
-    for name, arr in state.v.items():
-        named[f"adam.v.{name}"] = arr
-    return named
+    tables = {"m": state.m, "v": state.v}
+    return {f"adam.{k}.{name}": arr for k, t in tables.items() for name, arr in t.items()}
 
 
 def _restore_moments(moments: dict, state: OptimState):
     """Moves the float32 moments ``load_checkpoint`` read into ``state``."""
-    for name, arr in moments.items():
-        if name.startswith("adam.m."):
-            state.m[name[len("adam.m."):]] = arr
-        elif name.startswith("adam.v."):
-            state.v[name[len("adam.v."):]] = arr
+    for name, arr in moments.items():  # adam.m.<weight> or adam.v.<weight>
+        _, kind, weight = name.split(".", 2)
+        getattr(state, kind)[weight] = arr
 
 
 def _resume_state(path, extra):
@@ -306,8 +307,18 @@ def train(train_cfg: TrainConfig, model_cfg: ModelConfig, train_dir,
         _restore_moments(moments, state)
     else:
         model = build_model(model_cfg)
+    # every frame is checked before the first step writes anything
+    for directory, dense in ((train_dir, True), (val_dir, False)):
+        if directory is not None:
+            for _ in _frames(model, directory, dense):
+                pass
     os.makedirs(out_dir, exist_ok=True)
     log = []
+
+    def save(name, epoch):
+        save_checkpoint(os.path.join(out_dir, name), model,
+                        extra={"epoch": epoch, "lr": state.lr, "adam_t": state.t},
+                        moments=_moments_as_tensors(state))
 
     log_path = os.path.join(out_dir, "log.jsonl")
     mode = "a" if resume is not None else "w"
@@ -332,14 +343,8 @@ def train(train_cfg: TrainConfig, model_cfg: ModelConfig, train_dir,
             log.append(record)
             log_file.write(json.dumps(record, sort_keys=True) + "\n")
             log_file.flush()
-            save_checkpoint(
-                os.path.join(out_dir, f"epoch_{epoch:03d}.ckpt"), model,
-                extra={"epoch": epoch, "lr": state.lr, "adam_t": state.t},
-                moments=_moments_as_tensors(state))
+            save(f"epoch_{epoch:03d}.ckpt", epoch)
             if log_fn:
                 log_fn(record)
-    save_checkpoint(os.path.join(out_dir, "last.ckpt"), model,
-                    extra={"epoch": train_cfg.epochs, "lr": state.lr,
-                           "adam_t": state.t},
-                    moments=_moments_as_tensors(state))
+    save("last.ckpt", train_cfg.epochs)
     return model, log

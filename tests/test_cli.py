@@ -225,11 +225,22 @@ def test_malformed_inputs_exit_one(workspace, capsys):
         for path in D.sample_paths(data, "000001").values():
             shutil.copy(path, split)
         D.save_depth_pgm(np.full((16, 32), 5.0), split / f"000001_{key}.pgm")
-    split = bad / "split_gt_unmeasured"
-    split.mkdir()
-    for path in D.sample_paths(data, "000001").values():
-        shutil.copy(path, split)
-    D.save_depth_pgm(np.zeros((32, 32)), split / "000001_gt.pgm")
+
+    def copy_frame(name):  # sample 000001 alone in bad/split_<name>
+        split = bad / f"split_{name}"
+        split.mkdir()
+        for path in D.sample_paths(data, "000001").values():
+            shutil.copy(path, split)
+        return split
+
+    D.save_depth_pgm(np.zeros((32, 32)), copy_frame("gt_unmeasured") / "000001_gt.pgm")
+    gt = D.load_depth_pgm(data / "000001_gt.pgm")
+    gt[:4] = 0.0  # 4 unmeasured rows
+    D.save_depth_pgm(gt, copy_frame("gt_holes") / "000001_gt.pgm")
+    (copy_frame("no_gt") / "000001_gt.pgm").unlink()
+    wide = D.generate_sample(D.SceneSpec(width=64, height=32), seed=5)
+    wide.sample_id = "000001"
+    D.save_sample(wide, bad / "split_wide")
     out = str(bad / "never.pgm")
 
     def gen(mix):
@@ -238,6 +249,14 @@ def test_malformed_inputs_exit_one(workspace, capsys):
     def train(config):
         return ["train", "--train-dir", data, "--out", bad / "run",
                 "--config", bad / config]
+
+    def fit(train_dir=data, val_dir=data):  # one 32x32 epoch into bad/run
+        return ["train", "--train-dir", train_dir, "--val-dir", val_dir,
+                "--out", bad / "run", "--epochs", "1", "--batch-size", "1",
+                "--width", "32", "--height", "32"]
+
+    def frame(name, kind):
+        return str(bad / f"split_{name}" / f"000001_{kind}")
 
     def evaluate(name):
         return ["eval", "--checkpoint", workspace["ckpt"], "--split-dir",
@@ -298,6 +317,17 @@ def test_malformed_inputs_exit_one(workspace, capsys):
          + ": size 32x16 differs from the RGB image's 32x32"),
         (evaluate("gt_unmeasured"), str(bad / "split_gt_unmeasured" / "000001_gt.pgm")
          + ": no pixel has a measured depth"),
+        # every frame is checked before the first train step, so none of
+        # these writes a checkpoint or a log record (bad/run stays absent)
+        (fit(val_dir=bad / "split_gt_unmeasured"),
+         frame("gt_unmeasured", "gt.pgm") + ": no pixel has a measured depth"),
+        (fit(val_dir=bad / "split_wide"), frame("wide", "rgb.ppm")
+         + ": size 64x32 differs from the checkpoint's configured 32x32"),
+        (fit(val_dir=bad / "split_no_gt"), frame("no_gt", "gt.pgm") + ": does not exist"),
+        (fit(bad / "split_gt_holes"), frame("gt_holes", "gt.pgm")
+         + ": 128 of 1024 pixels have no measured depth"),
+        (fit(bad / "split_wide"), frame("wide", "rgb.ppm")
+         + ": size 64x32 differs from the checkpoint's configured 32x32"),
     ]
     for argv, message in cases:
         assert main([str(a) for a in argv]) == 1

@@ -111,8 +111,9 @@ def test_generator_determinism():
     assert not np.array_equal(a.gt, c.gt)
 
 
-def test_zero_primitive_scene_matches_plane_oracle():
-    spec = D.SceneSpec(width=32, height=32, n_primitives=0)
+def test_zero_primitive_scene_matches_plane_oracle(monkeypatch):
+    monkeypatch.setattr(D, "N_PRIMITIVES", 0)
+    spec = D.SceneSpec(width=32, height=32)
     s = D.generate_sample(spec, seed=0)
     oracle = np.clip(D.ground_plane_depth(spec), D.D_MIN, D.D_MAX)
     np.testing.assert_allclose(s.gt, oracle, atol=1e-12)
